@@ -452,9 +452,13 @@ func BenchmarkLongitudinalStudy(b *testing.B) {
 func BenchmarkStudySingleShard(b *testing.B) {
 	// The sharded machinery at its degenerate point — one shard, one
 	// worker, no faults — including the journal writes and the streaming
-	// merge to io.Discard. The gap to BenchmarkStudyEndToEnd is the price
-	// of crash-tolerance (journaling + merge); the ratio to the sharded
-	// benchmark below is the coordinator's scaling factor.
+	// merge to io.Discard. The gap to BenchmarkStudyEndToEnd is NOT the
+	// price of crash-tolerance: profiles put most of it in lost
+	// parallelism (one worker here, the study's full worker pool there)
+	// and in the merge rebuilding the whole world, with journaling a small
+	// remainder. Pricing crash-tolerance alone needs equal worker counts.
+	// The ratio to the sharded benchmark below is the coordinator's
+	// scaling factor.
 	for i := 0; i < b.N; i++ {
 		benchSharded(b, 1, 1, nil)
 	}

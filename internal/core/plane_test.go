@@ -8,6 +8,7 @@ import (
 	"pinscope/internal/detrand"
 	"pinscope/internal/faultinject"
 	"pinscope/internal/mitmproxy"
+	"pinscope/internal/pki"
 	"pinscope/internal/worldgen"
 )
 
@@ -124,5 +125,22 @@ func TestPlaneCachesAreExercised(t *testing.T) {
 	}
 	if plane.memo.Hits() == 0 {
 		t.Fatal("study run never replayed a memoized handshake")
+	}
+}
+
+func TestWarmRerunMakesNoSignatureChecks(t *testing.T) {
+	// Every CA and leaf is interned by issuance content and the signature
+	// memo is keyed on the signer's key, so a second same-seed study in the
+	// same process re-derives the same certificates and answers every
+	// chain link from the memo: not one ECDSA verification runs.
+	cfg := microCfg(29)
+	first := runExport(t, cfg)
+	before := pki.SignatureChecks()
+	second := runExport(t, cfg)
+	if n := pki.SignatureChecks() - before; n != 0 {
+		t.Fatalf("same-seed rerun ran %d signature checks, want 0", n)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatal("same-seed rerun exported different bytes")
 	}
 }

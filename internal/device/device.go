@@ -190,9 +190,9 @@ func (d *Device) Measure(app *appmodel.App, opts RunOptions) (*netem.Capture, er
 		d.runConn(app, pc, opts, connCap, cf, runRng.ChildN("conn", i), memoOK, &pending)
 		launched = true
 	}
-	d.Net.WaitIdle()
-	// The network is idle, so every pending flow holds its final record
-	// sequence and close flags: snapshot them into the memo.
+	// Every connection of the run has been closed, and a closed connection
+	// is finished, so every pending flow holds its final record sequence
+	// and close flags: snapshot them into the memo.
 	for _, p := range pending {
 		d.memo.fill(p.key, p.flow)
 	}

@@ -19,13 +19,15 @@ package device
 //   - payload content: record summaries carry only lengths, so the key
 //     needs the payload's length, never its bytes.
 //
-// Replay preserves byte-identical exports because every analysis consumer
-// is insensitive to the one thing a live rerun could vary: the goroutine
-// interleaving of client- and server-direction records. Per-direction
-// order is deterministic, and the core equivalence test holds a memoized
-// run to a cold run's exact export bytes.
+// Replay preserves byte-identical exports because a live connection has
+// nothing left to vary: netem drives client and server synchronously, so
+// the full record sequence — including how client- and server-direction
+// records interleave — and the close flags are a function of the key. The
+// core equivalence test holds a memoized run to a cold run's exact export
+// bytes.
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -72,19 +74,21 @@ func (m *HandshakeMemo) load(key string) (*memoEntry, bool) {
 }
 
 // fill snapshots a completed flow into the memo. Callers must only fill
-// after the network is idle, so the snapshot is the flow's final state.
-// The first fill for a key wins; concurrent workers produce identical
-// outcomes for identical keys, so which one lands is immaterial.
+// once the flow's connection is closed, so the snapshot is its final
+// state. The records are cloned: the flow's view is recycled when its
+// capture is released, while the memo keeps them for the process. The
+// first fill for a key wins; concurrent workers produce identical outcomes
+// for identical keys, so which one lands is immaterial.
 func (m *HandshakeMemo) fill(key string, f *netem.Flow) {
 	if _, ok := m.m.Load(key); ok {
 		return
 	}
 	cc, sc := f.CloseFlags()
-	m.m.LoadOrStore(key, &memoEntry{records: f.Records(), clientClose: cc, serverClose: sc})
+	m.m.LoadOrStore(key, &memoEntry{records: slices.Clone(f.Records()), clientClose: cc, serverClose: sc})
 }
 
 // pendingFill is a flow whose outcome will be memoized once the run's
-// network goes idle.
+// connections are all closed.
 type pendingFill struct {
 	key  string
 	flow *netem.Flow

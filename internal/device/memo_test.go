@@ -9,6 +9,7 @@ import (
 	"pinscope/internal/faultinject"
 	"pinscope/internal/frida"
 	"pinscope/internal/netem"
+	"pinscope/internal/tlswire"
 )
 
 // captureShape extracts the comparable view of a capture: per-flow
@@ -191,5 +192,57 @@ func TestHandshakeMemoProxyPresenceSplitsKeys(t *testing.T) {
 	d.Run(app, RunOptions{})
 	if memo.Hits() != before {
 		t.Fatal("MITM leg was served plain-leg outcomes")
+	}
+}
+
+// quietTap is a fault tap that injects nothing. Installing it still makes
+// every run bypass the handshake memo, so each connection runs live.
+type quietTap struct{}
+
+func (quietTap) ConnFaults(string, float64) netem.ConnFaults { return netem.ConnFaults{} }
+
+func TestLiveRerunsAreRecordIdentical(t *testing.T) {
+	// netem drives client and server synchronously, so a live rerun of
+	// the same app must reproduce every flow exactly: the full Summary
+	// sequence — including how client and server records interleave — and
+	// both close flags, on the plain and the intercepted leg.
+	type flowRecord struct {
+		dst            string
+		records        []tlswire.Summary
+		client, server tlswire.CloseFlag
+	}
+	w := newTestWorld(t)
+	app := testApp(w, appmodel.IOS)
+	w.net.SetFaultTap(quietTap{})
+	defer w.net.SetFaultTap(nil)
+	memo := NewHandshakeMemo()
+	d := New(appmodel.IOS, w.net, w.deviceRS, detrand.New(4))
+	d.InstallCA(w.proxy.CACert())
+	d.UseHandshakeMemo(memo)
+	live := func() []flowRecord {
+		var out []flowRecord
+		for _, f := range d.Run(app, RunOptions{}).Flows() {
+			cc, sc := f.CloseFlags()
+			out = append(out, flowRecord{f.Dst, f.Records(), cc, sc})
+		}
+		return out
+	}
+	for _, leg := range []string{"plain", "mitm"} {
+		if leg == "mitm" {
+			w.net.SetInterceptor(w.proxy)
+			defer w.net.SetInterceptor(nil)
+		}
+		first := live()
+		if len(first) == 0 {
+			t.Fatalf("%s: live run captured nothing", leg)
+		}
+		for i := 0; i < 3; i++ {
+			if again := live(); !reflect.DeepEqual(first, again) {
+				t.Fatalf("%s: live rerun %d differs:\nfirst: %+v\nagain: %+v", leg, i+1, first, again)
+			}
+		}
+	}
+	if memo.Hits() != 0 || memo.Len() != 0 {
+		t.Fatal("runs on a tapped network used the memo")
 	}
 }

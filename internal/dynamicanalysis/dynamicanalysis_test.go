@@ -87,7 +87,6 @@ func (h *harness) run(mitm bool, scripts []script) *netem.Capture {
 		}
 		tr.Close(tlswire.CloseFIN)
 	}
-	h.net.WaitIdle()
 	return cap
 }
 
@@ -230,7 +229,6 @@ func TestWeakCipherObservation(t *testing.T) {
 	conn.Recv()
 	conn.Close()
 	tr.Close(tlswire.CloseFIN)
-	h.net.WaitIdle()
 	sum := SummarizeCapture(cap)
 	if !sum["weak.example.com"].WeakCipherOffered {
 		t.Fatal("weak offer not observed")
@@ -257,7 +255,6 @@ func TestClassifyFlowInconclusiveWhenNeverClosed(t *testing.T) {
 		t.Fatalf("open unused flow classified %v", got)
 	}
 	tr.Close(tlswire.CloseFIN)
-	h.net.WaitIdle()
 	if got := ClassifyFlow(fl); got != StatusFailed {
 		t.Fatalf("closed unused flow classified %v", got)
 	}

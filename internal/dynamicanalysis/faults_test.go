@@ -41,7 +41,6 @@ func (h *harness) runFaulted(mitm bool, scripts []script, faults netem.ConnFault
 		}
 		tr.Close(tlswire.CloseFIN)
 	}
-	h.net.WaitIdle()
 	return cap
 }
 

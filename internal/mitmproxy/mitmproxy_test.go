@@ -77,7 +77,6 @@ func TestInterceptionRelaysData(t *testing.T) {
 	}
 	conn.Close()
 	tr.Close(tlswire.CloseFIN)
-	w.net.WaitIdle()
 
 	logs := w.proxy.Logs()
 	if len(logs) != 1 {
@@ -110,7 +109,6 @@ func TestUntrustedProxyCAFailsWithoutInstall(t *testing.T) {
 	if err == nil {
 		t.Fatal("client accepted forged chain without trusting proxy CA")
 	}
-	w.net.WaitIdle()
 	if lg := w.proxy.Logs()[0]; lg.ClientOK {
 		t.Fatal("proxy logged ClientOK for rejected handshake")
 	}
@@ -134,7 +132,6 @@ func TestPinnedClientRejectsForgedChain(t *testing.T) {
 	if !tlswire.IsPinFailure(err) {
 		t.Fatalf("err = %v, want pin failure", err)
 	}
-	w.net.WaitIdle()
 	if lg := w.proxy.Logs()[0]; lg.ClientOK || len(lg.Payloads) != 0 {
 		t.Fatalf("pinned connection leaked through proxy: %+v", lg)
 	}
@@ -160,7 +157,6 @@ func TestPinnedClientSucceedsWithoutProxy(t *testing.T) {
 		t.Fatalf("pinned client failed without MITM: %v", err)
 	}
 	conn.Close()
-	w.net.WaitIdle()
 }
 
 func TestUpstreamUnreachable(t *testing.T) {
@@ -183,7 +179,6 @@ func TestUpstreamUnreachable(t *testing.T) {
 	if _, err := conn.Recv(); err == nil {
 		t.Fatal("expected failure for unreachable upstream")
 	}
-	w.net.WaitIdle()
 	if lg := w.proxy.Logs()[0]; lg.UpstreamOK {
 		t.Fatal("UpstreamOK for unreachable host")
 	}
@@ -219,7 +214,6 @@ func TestResetLogs(t *testing.T) {
 	w := newWorld(t)
 	tr, _ := w.net.Dial("svc.example.com", netem.DialOpts{})
 	tr.Close(tlswire.CloseFIN)
-	w.net.WaitIdle()
 	if len(w.proxy.Logs()) == 0 {
 		t.Fatal("no log recorded")
 	}
@@ -255,7 +249,6 @@ func TestInterceptionTLS12(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	w.net.WaitIdle()
 	// The captured cleartext chain is the FORGED one.
 	chain := cap.Flows()[0].ObservedChain()
 	if len(chain) == 0 || chain.Root().Subject.CommonName != "mitmproxy" {

@@ -4,12 +4,18 @@
 // tcpdump-at-the-hotspot vantage point), and an interceptor — the MITM
 // proxy — can be inserted in front of every connection.
 //
-// Transports are turn-based record pipes. A passive capture stores only
+// Connections are driven synchronously. The goroutine that dials owns the
+// client end; the server end (a host Handler or the Interceptor) runs as a
+// coroutine that the client resumes whenever it waits for a record, and
+// that runs to completion when the client closes. Records therefore cross
+// in one deterministic order, and the network is idle as soon as every
+// client transport is closed. A passive capture stores only
 // tlswire.Summary views of records, never endpoint-private content, so the
 // analysis pipeline genuinely cannot cheat by peeking at plaintext.
 package netem
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -19,10 +25,8 @@ import (
 
 // Flow is one captured TCP/TLS connection as seen from the monitoring
 // point: destination, timing, the observable record sequence, and how each
-// side closed.
+// side closed. A flow belongs to the goroutine that dialed it.
 type Flow struct {
-	mu sync.Mutex
-
 	// Dst is the hostname the client dialed (the capture's flow key; in
 	// practice derived from DNS+SNI, and >99% of study traffic had SNI).
 	Dst string
@@ -42,31 +46,22 @@ type Flow struct {
 	tailCut bool
 }
 
-// Records returns a snapshot of the captured record summaries.
-func (f *Flow) Records() []tlswire.Summary {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]tlswire.Summary, len(f.records))
-	copy(out, f.records)
-	return out
-}
+// Records returns the captured record summaries in wire order. The slice
+// is a read-only view into the flow's pooled buffer: it is valid until the
+// capture is released, and a caller that keeps records past that point
+// must copy them.
+func (f *Flow) Records() []tlswire.Summary { return f.records }
 
 // SNI returns the server name from the captured ClientHello, or "".
 func (f *Flow) SNI() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, r := range f.records {
-		if r.Hello != nil {
-			return r.Hello.SNI
-		}
+	if h := f.ClientHello(); h != nil {
+		return h.SNI
 	}
 	return ""
 }
 
 // ClientHello returns the captured ClientHello, or nil.
 func (f *Flow) ClientHello() *tlswire.HelloInfo {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	for _, r := range f.records {
 		if r.Hello != nil {
 			return r.Hello
@@ -77,8 +72,6 @@ func (f *Flow) ClientHello() *tlswire.HelloInfo {
 
 // NegotiatedVersion returns the version from the captured ServerHello, or 0.
 func (f *Flow) NegotiatedVersion() tlswire.Version {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	for _, r := range f.records {
 		if r.SHello != nil {
 			return r.SHello.Version
@@ -90,8 +83,6 @@ func (f *Flow) NegotiatedVersion() tlswire.Version {
 // ObservedChain returns the certificate chain if it crossed the wire in
 // cleartext (TLS <= 1.2 only), else nil.
 func (f *Flow) ObservedChain() pki.Chain {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	for _, r := range f.records {
 		if len(r.Certs) > 0 {
 			return r.Certs
@@ -102,14 +93,10 @@ func (f *Flow) ObservedChain() pki.Chain {
 
 // CloseFlags returns how the client and server sides ended.
 func (f *Flow) CloseFlags() (client, server tlswire.CloseFlag) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.clientClose, f.serverClose
 }
 
 func (f *Flow) addRecord(fromClient bool, r tlswire.Record) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	idx := f.seen
 	f.seen++
 	if f.faults.CaptureTailAfter > 0 && idx >= f.faults.CaptureTailAfter {
@@ -125,8 +112,6 @@ func (f *Flow) addRecord(fromClient bool, r tlswire.Record) {
 }
 
 func (f *Flow) addClose(fromClient bool, flag tlswire.CloseFlag) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.tailCut {
 		return // capture ended before the teardown was observed
 	}
@@ -141,9 +126,9 @@ func (f *Flow) addClose(fromClient bool, flag tlswire.CloseFlag) {
 	}
 }
 
-// Capture accumulates the flows of one experiment run.
+// Capture accumulates the flows of one experiment run. Like its flows, a
+// capture belongs to the goroutine that dials into it.
 type Capture struct {
-	mu    sync.Mutex
 	flows []*Flow
 }
 
@@ -168,8 +153,6 @@ func (c *Capture) Flows() []*Flow {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]*Flow, len(c.flows))
 	copy(out, c.flows)
 	return out
@@ -181,23 +164,15 @@ func (c *Capture) newFlow(dst string, at float64) *Flow {
 		box := flowRecPool.Get().(*[]tlswire.Summary)
 		f.records = (*box)[:0]
 		f.recBox = box
-		c.mu.Lock()
 		c.flows = append(c.flows, f)
-		c.mu.Unlock()
 	}
 	return f
 }
 
-// Last returns the most recently added flow, or nil. Dials are issued
-// sequentially from a run's measurement goroutine, so immediately after a
+// Last returns the most recently added flow, or nil. Immediately after a
 // captured Dial this is that dial's flow.
 func (c *Capture) Last() *Flow {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.flows) == 0 {
+	if c == nil || len(c.flows) == 0 {
 		return nil
 	}
 	return c.flows[len(c.flows)-1]
@@ -210,37 +185,29 @@ func (c *Capture) Last() *Flow {
 // retained.
 func (c *Capture) AddReplayedFlow(dst string, at float64, records []tlswire.Summary, clientClose, serverClose tlswire.CloseFlag) {
 	f := c.newFlow(dst, at)
-	f.mu.Lock()
 	f.records = append(f.records, records...)
 	f.clientClose = clientClose
 	f.serverClose = serverClose
 	f.seen = len(records)
-	f.mu.Unlock()
 }
 
 // Release returns the capture's pooled record buffers and drops its flows.
-// Call it only once the consuming analysis is done with the capture AND the
-// network is idle (no handler still appending); the flows' Records() views
-// become empty afterwards. Releasing is optional — unreleased captures are
-// simply garbage collected.
+// Call it only once the consuming analysis is done with the capture and
+// every client transport dialed into it is closed; the flows' Records()
+// views become empty afterwards, and views taken earlier must no longer be
+// read. Releasing is optional — unreleased captures are simply garbage
+// collected.
 func (c *Capture) Release() {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
 	flows := c.flows
 	c.flows = nil
-	c.mu.Unlock()
 	for _, f := range flows {
-		f.mu.Lock()
-		box := f.recBox
-		if box != nil {
+		if box := f.recBox; box != nil {
 			*box = f.records[:0]
 			f.recBox = nil
 			f.records = nil
-		}
-		f.mu.Unlock()
-		if box != nil {
 			flowRecPool.Put(box)
 		}
 	}
@@ -287,7 +254,8 @@ type FaultTap interface {
 }
 
 // Interceptor sits in front of every intercepted dial; the MITM proxy
-// implements it. It must eventually close clientSide.
+// implements it. It should close clientSide before returning; if it does
+// not, the connection is closed with FIN when HandleConn returns.
 type Interceptor interface {
 	HandleConn(clientSide tlswire.Transport, dstHost string, net *Network)
 }
@@ -298,7 +266,6 @@ type Network struct {
 	servers     map[string]Handler
 	interceptor Interceptor
 	faultTap    FaultTap
-	wg          sync.WaitGroup
 }
 
 // New returns an empty network.
@@ -369,8 +336,10 @@ type DialOpts struct {
 }
 
 // Dial opens a connection to host, routed through the interceptor if one
-// is installed. The returned transport is the client side; the caller must
-// Close it (closing is idempotent, so deferring a FIN is always safe).
+// is installed. The returned transport is the client side, owned by the
+// calling goroutine; the caller must Close it (closing is idempotent, so
+// deferring a FIN is always safe), and Close returns once the server side
+// has finished.
 func (n *Network) Dial(host string, opts DialOpts) (tlswire.Transport, error) {
 	n.mu.Lock()
 	interceptor := n.interceptor
@@ -391,27 +360,14 @@ func (n *Network) Dial(host string, opts DialOpts) (tlswire.Transport, error) {
 		flow = opts.Capture.newFlow(host, opts.At)
 		flow.faults = faults
 	}
-	client, server := newPipePair(flow)
-	if faults.ResetAfter > 0 {
-		st := &resetState{budget: faults.ResetAfter}
-		client.reset = st
-		server.reset = st
-	}
-
-	n.wg.Add(1)
+	c := newConn(flow)
+	c.resetAfter = faults.ResetAfter
 	if interceptor != nil {
-		go func() {
-			defer n.wg.Done()
-			interceptor.HandleConn(server, host, n)
-		}()
+		c.serve(func(t tlswire.Transport) { interceptor.HandleConn(t, host, n) })
 	} else {
-		go func() {
-			defer n.wg.Done()
-			defer server.Close(tlswire.CloseFIN)
-			handler(server)
-		}()
+		c.serve(handler)
 	}
-	return client, nil
+	return &c.ends[client], nil
 }
 
 // DialDirect bypasses the interceptor — the proxy uses it for its upstream
@@ -423,168 +379,211 @@ func (n *Network) DialDirect(host string) (tlswire.Transport, error) {
 	if !ok {
 		return nil, fmt.Errorf("netem: no route to host %q", host)
 	}
-	client, server := newPipePair(nil)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer server.Close(tlswire.CloseFIN)
-		handler(server)
-	}()
-	return client, nil
+	c := newConn(nil)
+	c.serve(handler)
+	return &c.ends[client], nil
 }
 
-// WaitIdle blocks until every spawned handler and interceptor goroutine has
-// returned. Callers must close all client transports first.
-func (n *Network) WaitIdle() { n.wg.Wait() }
+// --- connections -----------------------------------------------------------
 
-// --- record pipes ---------------------------------------------------------
+// ErrStalled is returned by Recv when both ends of a connection are waiting
+// to receive: the peer has nothing queued, has not closed, and is itself
+// blocked in Recv. On a real network this is a hang; here it fails fast.
+var ErrStalled = errors.New("netem: both ends of the connection are waiting to receive")
 
-// pipeBuf sizes each direction's record channel. The protocol is
-// turn-based: the longest unacknowledged burst is the TLS 1.3 server
-// flight (ServerHello, CCS, certificate record, Finished) plus session
-// tickets, well under 16 records, so a small buffer never deadlocks — it
-// just applies backpressure. At the study's connection volume the old
-// 128-record channels were a measurable share of allocations (two channels
-// per connection).
-const pipeBuf = 16
+// Connection sides, indexing conn's per-side arrays.
+const (
+	client = 0
+	server = 1
+)
 
-// resetState is the shared record budget of a connection carrying an
-// injected mid-stream RST; both pipe ends draw from it.
-type resetState struct {
-	mu     sync.Mutex
-	budget int
+// conn is one emulated connection: a record queue into each side, each
+// side's close state, and the coroutine running the server side. Only the
+// goroutine that owns the client end touches it; the server coroutine runs
+// only while that goroutine is suspended in resume.
+type conn struct {
+	ends   [2]end
+	queue  [2]recQueue // queue[s] holds records waiting for side s
+	buf    *queueBuf   // backs the queues until the connection is finished
+	closed [2]bool
+	flag   [2]tlswire.CloseFlag
+	flow   *Flow // nil for uncaptured legs
+
+	// resetAfter, when > 0, is the number of records the connection carries
+	// before an injected RST; crossed counts records sent so far.
+	resetAfter, crossed int
+
+	// resume runs the server side until it next waits for a record or
+	// returns; nil once it has returned (or when no server side runs).
+	resume func() (struct{}, bool)
+	// yield suspends the server side, handing control back to the client.
+	yield func(struct{}) bool
 }
 
-// spend consumes one record from the budget and reports whether the
-// connection must be reset instead of delivering it.
-func (r *resetState) spend() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.budget <= 0 {
-		return true
+// newConn returns a connection tapped into flow (which may be nil for
+// uncaptured legs) with no server side attached yet.
+func newConn(flow *Flow) *conn {
+	c := &conn{flow: flow, buf: queueBufPool.Get().(*queueBuf)}
+	for s := range c.ends {
+		c.ends[s] = end{c: c, side: s}
+		c.queue[s].recs = c.buf[s][:0]
 	}
-	r.budget--
-	return false
+	return c
 }
 
-type pipe struct {
-	fromClient bool
-	out        chan tlswire.Record
-	in         chan tlswire.Record
+// queueBuf backs a connection's two record queues. A turn-based exchange
+// queues at most one flight per direction, and four records cover every
+// flight but the rare longest, so most connections never grow a queue.
+type queueBuf [2][4]tlswire.Record
 
-	localDone chan struct{}
-	peerDone  chan struct{}
+// queueBufPool recycles the queue buffers of finished connections: a study
+// opens tens of thousands of connections, and the buffers are most of
+// what each one allocates.
+var queueBufPool = sync.Pool{New: func() any { return new(queueBuf) }}
 
-	reset *resetState
-
-	mu        sync.Mutex
-	localFlag tlswire.CloseFlag
-	peer      *pipe
-	flow      *Flow
+// finish releases the queue buffer of a connection whose both sides are
+// closed and whose server side has returned. Nothing can be sent on it
+// any more; records still queued for an end are discarded.
+func (c *conn) finish() {
+	if c.buf == nil {
+		return
+	}
+	*c.buf = queueBuf{}
+	queueBufPool.Put(c.buf)
+	c.buf = nil
+	c.queue = [2]recQueue{}
 }
 
-// newPipePair returns the client and server ends of a connection, tapped
-// into flow (which may be nil for uncaptured legs).
-func newPipePair(flow *Flow) (client, server *pipe) {
-	c2s := make(chan tlswire.Record, pipeBuf)
-	s2c := make(chan tlswire.Record, pipeBuf)
-	client = &pipe{
-		fromClient: true,
-		out:        c2s, in: s2c,
-		localDone: make(chan struct{}),
-		flow:      flow,
+// step resumes the server side once and reports whether it left the client
+// something to act on: a queued record or a close. A false result with the
+// server still running means it is waiting to receive too.
+func (c *conn) step() bool {
+	if c.resume == nil {
+		return false
 	}
-	server = &pipe{
-		fromClient: false,
-		out:        s2c, in: c2s,
-		localDone: make(chan struct{}),
-		flow:      flow,
+	if _, ok := c.resume(); !ok {
+		c.resume = nil
 	}
-	client.peerDone = server.localDone
-	server.peerDone = client.localDone
-	client.peer = server
-	server.peer = client
-	return client, server
+	return c.queue[client].len() > 0 || c.closed[server]
 }
 
-func (p *pipe) Send(r tlswire.Record) error {
-	select {
-	case <-p.localDone:
-		return &tlswire.PeerClosedError{Flag: p.localFlagLocked()}
-	case <-p.peerDone:
-		return &tlswire.PeerClosedError{Flag: p.peer.localFlagLocked()}
-	default:
+// shut closes side s with flag; the first flag wins. record controls
+// whether the monitoring point observes the teardown (injected resets
+// record their own server-direction observation instead).
+func (c *conn) shut(s int, flag tlswire.CloseFlag, record bool) {
+	if c.closed[s] {
+		return
 	}
-	if p.reset != nil && p.reset.spend() {
-		// Injected network reset: the record is lost and both ends go down
-		// (closing wakes any peer blocked in Recv, so no goroutine strands).
-		// The monitoring point sees the RST arrive from the server
-		// direction — the client never sent a teardown of its own, so the
-		// flow stays inconclusive instead of mimicking a client-side pin
-		// rejection, exactly like a spoofed/middlebox RST on a real trace.
-		if p.flow != nil {
-			p.flow.addClose(false, tlswire.CloseRST)
+	c.closed[s] = true
+	c.flag[s] = flag
+	if record && c.flow != nil {
+		c.flow.addClose(s == client, flag)
+	}
+}
+
+// end is one side of a connection; it implements tlswire.Transport.
+type end struct {
+	c    *conn
+	side int
+}
+
+func (e *end) Send(r tlswire.Record) error {
+	c, me, peer := e.c, e.side, 1-e.side
+	if c.closed[me] {
+		return &tlswire.PeerClosedError{Flag: c.flag[me]}
+	}
+	if c.closed[peer] {
+		return &tlswire.PeerClosedError{Flag: c.flag[peer]}
+	}
+	if c.resetAfter > 0 {
+		if c.crossed >= c.resetAfter {
+			// Injected network reset: the record is lost and both ends go
+			// down. The monitoring point sees the RST arrive from the
+			// server direction — the client never sent a teardown of its
+			// own, so the flow stays inconclusive instead of mimicking a
+			// client-side pin rejection, exactly like a spoofed/middlebox
+			// RST on a real trace.
+			if c.flow != nil {
+				c.flow.addClose(false, tlswire.CloseRST)
+			}
+			c.shut(peer, tlswire.CloseRST, false)
+			c.shut(me, tlswire.CloseRST, false)
+			return &tlswire.PeerClosedError{Flag: tlswire.CloseRST}
 		}
-		p.peer.close(tlswire.CloseRST, false)
-		p.close(tlswire.CloseRST, false)
-		return &tlswire.PeerClosedError{Flag: tlswire.CloseRST}
+		c.crossed++
 	}
-	if p.flow != nil {
-		p.flow.addRecord(p.fromClient, r)
+	if c.flow != nil {
+		c.flow.addRecord(me == client, r)
 	}
-	select {
-	case p.out <- r:
-		return nil
-	case <-p.peerDone:
-		return &tlswire.PeerClosedError{Flag: p.peer.localFlagLocked()}
-	}
-}
-
-func (p *pipe) Recv() (tlswire.Record, error) {
-	select {
-	case r := <-p.in:
-		return r, nil
-	default:
-	}
-	select {
-	case r := <-p.in:
-		return r, nil
-	case <-p.peerDone:
-		// Final drain: the peer may have sent before closing.
-		select {
-		case r := <-p.in:
-			return r, nil
-		default:
-			return tlswire.Record{}, &tlswire.PeerClosedError{Flag: p.peer.localFlagLocked()}
-		}
-	case <-p.localDone:
-		return tlswire.Record{}, &tlswire.PeerClosedError{Flag: p.localFlagLocked()}
-	}
-}
-
-func (p *pipe) Close(flag tlswire.CloseFlag) error { return p.close(flag, true) }
-
-// close shuts the pipe end down; record controls whether the monitoring
-// point observes the teardown (injected resets record their own
-// server-direction observation instead).
-func (p *pipe) close(flag tlswire.CloseFlag, record bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	select {
-	case <-p.localDone:
-		return nil // idempotent
-	default:
-	}
-	p.localFlag = flag
-	if record && p.flow != nil {
-		p.flow.addClose(p.fromClient, flag)
-	}
-	close(p.localDone)
+	c.queue[peer].push(r)
 	return nil
 }
 
-func (p *pipe) localFlagLocked() tlswire.CloseFlag {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.localFlag
+// Recv returns the next queued record. With none queued and neither side
+// closed, the client end resumes the server side and the server end
+// suspends until the client resumes it; if that leaves both ends waiting,
+// Recv returns ErrStalled.
+func (e *end) Recv() (tlswire.Record, error) {
+	c, me, peer := e.c, e.side, 1-e.side
+	for {
+		if r, ok := c.queue[me].pop(); ok {
+			return r, nil
+		}
+		if c.closed[peer] {
+			return tlswire.Record{}, &tlswire.PeerClosedError{Flag: c.flag[peer]}
+		}
+		if c.closed[me] {
+			return tlswire.Record{}, &tlswire.PeerClosedError{Flag: c.flag[me]}
+		}
+		var progressed bool
+		if me == client {
+			progressed = c.step()
+		} else {
+			progressed = c.yield != nil && c.yield(struct{}{})
+		}
+		if !progressed {
+			return tlswire.Record{}, ErrStalled
+		}
+	}
+}
+
+// Close shuts this end down; later Sends fail and the peer drains what was
+// queued, then sees the close. Closing the client end also runs the server
+// side to completion, so when it returns the connection is finished — its
+// flow's records and close flags are final, and records the client never
+// received are discarded.
+func (e *end) Close(flag tlswire.CloseFlag) error {
+	c := e.c
+	c.shut(e.side, flag, true)
+	if e.side == client {
+		for c.resume != nil {
+			c.step()
+		}
+		if c.closed[server] {
+			c.finish()
+		}
+	}
+	return nil
+}
+
+// recQueue is a FIFO of records; its backing array is reused once drained.
+type recQueue struct {
+	recs []tlswire.Record
+	head int
+}
+
+func (q *recQueue) len() int { return len(q.recs) - q.head }
+
+func (q *recQueue) push(r tlswire.Record) { q.recs = append(q.recs, r) }
+
+func (q *recQueue) pop() (tlswire.Record, bool) {
+	if q.head == len(q.recs) {
+		return tlswire.Record{}, false
+	}
+	r := q.recs[q.head]
+	q.head++
+	if q.head == len(q.recs) {
+		q.recs, q.head = q.recs[:0], 0
+	}
+	return r, true
 }

@@ -9,8 +9,15 @@ import (
 	"pinscope/internal/tlswire"
 )
 
+// pair returns the two ends of a connection with no server side attached,
+// so a test can drive both ends itself.
+func pair(flow *Flow) (c, s *end) {
+	cn := newConn(flow)
+	return &cn.ends[client], &cn.ends[server]
+}
+
 func TestPipeSendRecv(t *testing.T) {
-	c, s := newPipePair(nil)
+	c, s := pair(nil)
 	want := tlswire.Record{WireType: tlswire.RecHandshake, Length: 42}
 	if err := c.Send(want); err != nil {
 		t.Fatal(err)
@@ -25,7 +32,7 @@ func TestPipeSendRecv(t *testing.T) {
 }
 
 func TestPipeDrainAfterPeerClose(t *testing.T) {
-	c, s := newPipePair(nil)
+	c, s := pair(nil)
 	c.Send(tlswire.Record{Length: 1})
 	c.Send(tlswire.Record{Length: 2})
 	c.Close(tlswire.CloseFIN)
@@ -49,7 +56,7 @@ func TestPipeDrainAfterPeerClose(t *testing.T) {
 }
 
 func TestPipeSendAfterPeerRST(t *testing.T) {
-	c, s := newPipePair(nil)
+	c, s := pair(nil)
 	s.Close(tlswire.CloseRST)
 	err := c.Send(tlswire.Record{Length: 9})
 	var pe *tlswire.PeerClosedError
@@ -59,7 +66,7 @@ func TestPipeSendAfterPeerRST(t *testing.T) {
 }
 
 func TestPipeCloseIdempotent(t *testing.T) {
-	c, _ := newPipePair(nil)
+	c, _ := pair(nil)
 	if err := c.Close(tlswire.CloseRST); err != nil {
 		t.Fatal(err)
 	}
@@ -67,28 +74,15 @@ func TestPipeCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First flag wins.
-	if got := c.localFlagLocked(); got != tlswire.CloseRST {
+	if got := c.c.flag[client]; got != tlswire.CloseRST {
 		t.Fatalf("flag after double close: %s", got)
-	}
-}
-
-func TestPipeRecvUnblocksOnLocalClose(t *testing.T) {
-	c, _ := newPipePair(nil)
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Recv()
-		done <- err
-	}()
-	c.Close(tlswire.CloseFIN)
-	if err := <-done; err == nil {
-		t.Fatal("Recv returned nil after local close")
 	}
 }
 
 func TestFlowCapturesSummariesNotSecrets(t *testing.T) {
 	cap := NewCapture()
 	fl := cap.newFlow("h.example.com", 1.5)
-	c, _ := newPipePair(fl)
+	c, _ := pair(fl)
 	hello := &tlswire.HelloInfo{SNI: "h.example.com", MaxVersion: tlswire.TLS13}
 	c.Send(tlswire.Record{WireType: tlswire.RecHandshake, Length: 100, Hello: hello})
 	c.Close(tlswire.CloseFIN)
@@ -125,7 +119,6 @@ func TestNetworkListenAndDial(t *testing.T) {
 	}
 	tr.Send(tlswire.Record{Length: 7})
 	tr.Close(tlswire.CloseFIN)
-	n.WaitIdle()
 	if r := <-served; r.Length != 7 {
 		t.Fatalf("server saw %+v", r)
 	}
@@ -156,7 +149,6 @@ func TestInterceptorReceivesAllDials(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Close(tlswire.CloseFIN)
-	n.WaitIdle()
 	if len(ri.hosts) != 1 || ri.hosts[0] != "anything.example.com" {
 		t.Fatalf("interceptor hosts: %v", ri.hosts)
 	}
@@ -173,7 +165,6 @@ func TestDialDirectBypassesInterceptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Close(tlswire.CloseFIN)
-	n.WaitIdle()
 	if !<-hit {
 		t.Fatal("direct handler not invoked")
 	}
@@ -190,15 +181,10 @@ func TestCaptureNilSafe(t *testing.T) {
 }
 
 func TestPipeOrderedDeliveryProperty(t *testing.T) {
-	// Every record sent before a close arrives, in order. The sender here
-	// has no concurrent receiver, so the burst is capped at pipeBuf — the
-	// turn-based protocol's own bound on unacknowledged records (see the
-	// pipeBuf comment).
+	// Every record sent before a close arrives, in order; the queues are
+	// unbounded, so any burst fits.
 	f := func(lengths []uint8) bool {
-		if len(lengths) > pipeBuf {
-			lengths = lengths[:pipeBuf]
-		}
-		c, s := newPipePair(nil)
+		c, s := pair(nil)
 		for i, l := range lengths {
 			if err := c.Send(tlswire.Record{Length: int(l) + i<<8}); err != nil {
 				return false
@@ -235,9 +221,14 @@ func TestCaptureReleaseRecyclesBuffers(t *testing.T) {
 	if got := cap1.Flows(); len(got) != 0 {
 		t.Fatalf("released capture still exposes %d flows", len(got))
 	}
-	// The snapshot taken before the release is untouched: Records copies.
+	// The view taken before the release is read-only: the released buffer
+	// goes back to the pool empty, and the next flow drawn from the pool
+	// starts with no records.
 	if recs[0].Length != 11 || recs[1].Length != 22 {
-		t.Fatal("pre-release snapshot was clobbered by Release")
+		t.Fatal("pre-release view was clobbered by Release")
+	}
+	if got := NewCapture().newFlow("next.example.com", 2).Records(); len(got) != 0 {
+		t.Fatalf("a flow drawn after the release starts with %d records", len(got))
 	}
 	// Double release is a no-op.
 	cap1.Release()

@@ -21,7 +21,7 @@ import (
 	"crypto/sha1"
 	"crypto/sha256"
 	"crypto/x509"
-	"strconv"
+	"encoding/binary"
 	"sync"
 )
 
@@ -95,55 +95,74 @@ func RawDigest(cert *x509.Certificate) [sha256.Size]byte {
 	return digestsOf(cert).raw256
 }
 
-// --- Leaf-issuance intern table -------------------------------------------
+// --- Issuance intern table -------------------------------------------------
 
-// leafIntern caches parsed leaf certificates keyed by the full TBS content
-// of the issuance (issuer key, serial, validity, SANs, subject key). A
-// process that runs the same study twice re-derives identical keys and
-// serials from the seed, so every x509.CreateCertificate call after the
-// first would sign, self-verify, encode and re-parse a certificate that
-// differs only in its (unobservable) hedged signature bytes. The intern hit
-// skips all of that. The key covers every template field issueLeafWithKey
-// varies; constant fields (key usages, EKU) need no representation.
-var leafIntern sync.Map // string -> *x509.Certificate
+// certIntern caches parsed certificates keyed by the full TBS content of
+// their issuance. A process that runs the same study twice re-derives
+// identical keys and serials from the seed, so every x509.CreateCertificate
+// call after the first would sign, self-verify, encode and re-parse a
+// certificate that differs only in its (unobservable) hedged signature
+// bytes. The intern hit skips all of that and hands back the certificate
+// already issued, Raw bytes included — so a re-derived CA is the same
+// certificate, and every memo keyed on it keeps hitting.
+var certIntern sync.Map // string -> *x509.Certificate
 
-// leafInternKey builds the content key for one leaf issuance.
-func leafInternKey(parent *x509.Certificate, tmpl *x509.Certificate, pub *ecdsa.PublicKey) string {
-	d := digestsOf(parent)
-	b := make([]byte, 0, 192)
-	b = append(b, d.spki256[:]...)
-	ser := tmpl.SerialNumber.Bytes()
-	b = append(b, byte(len(ser))) // length prefix: serial bytes may contain any value
-	b = append(b, ser...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, tmpl.NotBefore.Unix(), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, tmpl.NotAfter.Unix(), 10)
-	for _, name := range tmpl.DNSNames {
-		b = append(b, '|')
-		b = append(b, name...)
+// Issuance kinds. The kind fixes every template field the key leaves out
+// (key usages, extended key usages, the CA bit).
+const (
+	issueRoot         = 'R'
+	issueIntermediate = 'I'
+	issueLeaf         = 'L'
+)
+
+// internKey builds the content key for one issuance: the kind, the
+// issuer's key and name (nil issuer: self-signed, so the subject and
+// subject key below name the issuer too), and every template field the
+// pki issuers vary — serial, validity, subject, SANs — plus the subject
+// key. Variable-length fields are length-prefixed.
+func internKey(kind byte, issuer, tmpl *x509.Certificate, pub *ecdsa.PublicKey) string {
+	b := make([]byte, 0, 256)
+	b = append(b, kind)
+	if issuer != nil {
+		b = append(b, digestsOf(issuer).spki256[:]...)
+		b = appendField(b, issuer.RawSubject)
 	}
-	b = append(b, 0)
-	b = append(b, pub.X.Bytes()...)
-	b = append(b, 0)
-	b = append(b, pub.Y.Bytes()...)
+	b = appendField(b, tmpl.SerialNumber.Bytes())
+	b = binary.AppendVarint(b, tmpl.NotBefore.Unix())
+	b = binary.AppendVarint(b, tmpl.NotAfter.Unix())
+	b = appendField(b, []byte(tmpl.Subject.CommonName))
+	b = appendFields(b, tmpl.Subject.Organization)
+	b = appendFields(b, tmpl.DNSNames)
+	b = appendField(b, pub.X.Bytes())
+	b = appendField(b, pub.Y.Bytes())
 	return string(b)
 }
 
-// internLeafCertificate returns the parsed certificate for the issuance
-// described by (parent, tmpl, pub), creating and caching it on first use.
-// create performs the actual x509.CreateCertificate + ParseCertificate;
-// its errors are not interned (they are deterministic, so a retry merely
-// repeats them).
-func internLeafCertificate(parent, tmpl *x509.Certificate, pub *ecdsa.PublicKey, create func() (*x509.Certificate, error)) (*x509.Certificate, error) {
-	key := leafInternKey(parent, tmpl, pub)
-	if v, ok := leafIntern.Load(key); ok {
+func appendField(b, field []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(field)))
+	return append(b, field...)
+}
+
+func appendFields(b []byte, fields []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(fields)))
+	for _, f := range fields {
+		b = appendField(b, []byte(f))
+	}
+	return b
+}
+
+// internCertificate returns the certificate interned under key, calling
+// create (the actual x509.CreateCertificate + ParseCertificate) on first
+// use. Errors are not interned: they are deterministic, so a retry merely
+// repeats them.
+func internCertificate(key string, create func() (*x509.Certificate, error)) (*x509.Certificate, error) {
+	if v, ok := certIntern.Load(key); ok {
 		return v.(*x509.Certificate), nil
 	}
 	cert, err := create()
 	if err != nil {
 		return nil, err
 	}
-	v, _ := leafIntern.LoadOrStore(key, cert)
+	v, _ := certIntern.LoadOrStore(key, cert)
 	return v.(*x509.Certificate), nil
 }

@@ -25,7 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,12 +89,16 @@ func NewRootCA(rng *detrand.Source, commonName, org string, validYears int) (*Au
 		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageCRLSign,
 		BasicConstraintsValid: true,
 	}
-	//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
-	if err != nil {
-		return nil, fmt.Errorf("pki: create root %q: %w", commonName, err)
-	}
-	cert, err := x509.ParseCertificate(der)
+	// Interned by TBS content like leaves (see issueLeafWithKey): a CA
+	// re-derived from the same seed is the certificate already issued.
+	cert, err := internCertificate(internKey(issueRoot, nil, tmpl, &key.PublicKey), func() (*x509.Certificate, error) {
+		//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
+		der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
+		if err != nil {
+			return nil, fmt.Errorf("pki: create root %q: %w", commonName, err)
+		}
+		return x509.ParseCertificate(der)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -117,12 +121,14 @@ func (a *Authority) NewIntermediate(rng *detrand.Source, commonName string, vali
 		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageCRLSign,
 		BasicConstraintsValid: true,
 	}
-	//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, a.Cert, &key.PublicKey, a.Key)
-	if err != nil {
-		return nil, fmt.Errorf("pki: create intermediate %q: %w", commonName, err)
-	}
-	cert, err := x509.ParseCertificate(der)
+	cert, err := internCertificate(internKey(issueIntermediate, a.Cert, tmpl, &key.PublicKey), func() (*x509.Certificate, error) {
+		//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
+		der, err := x509.CreateCertificate(rand.Reader, tmpl, a.Cert, &key.PublicKey, a.Key)
+		if err != nil {
+			return nil, fmt.Errorf("pki: create intermediate %q: %w", commonName, err)
+		}
+		return x509.ParseCertificate(der)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +183,7 @@ func (a *Authority) issueLeafWithKey(rng *detrand.Source, hostname string, key *
 	// already-issued certificate instead of minting a fresh signature over
 	// identical bytes. Key and serial were already drawn above, so a hit
 	// consumes exactly the same rng stream as a miss.
-	cert, err := internLeafCertificate(a.Cert, tmpl, &key.PublicKey, func() (*x509.Certificate, error) {
+	cert, err := internCertificate(internKey(issueLeaf, a.Cert, tmpl, &key.PublicKey), func() (*x509.Certificate, error) {
 		//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
 		der, err := x509.CreateCertificate(rand.Reader, tmpl, a.Cert, &key.PublicKey, a.Key)
 		if err != nil {
@@ -309,17 +315,18 @@ func (rs *RootStore) Validate(chain Chain, hostname string, at time.Time) error 
 	if len(chain) == 0 {
 		return ErrEmptyChain
 	}
-	var key strings.Builder
-	sum := RawDigest(chain[0])
-	key.Write(sum[:])
-	for _, c := range chain[1:] {
-		key.WriteByte('|')
-		key.Write(c.RawSubjectPublicKeyInfo[:16])
+	// The verdict depends on every certificate offered, so each one joins
+	// the key by its full raw digest.
+	b := make([]byte, 0, 1+len(chain)*sha256.Size+len(hostname)+24)
+	b = append(b, byte(len(chain)))
+	for _, c := range chain {
+		sum := RawDigest(c)
+		b = append(b, sum[:]...)
 	}
-	key.WriteByte('|')
-	key.WriteString(hostname)
-	fmt.Fprintf(&key, "|%d", at.Unix())
-	k := key.String()
+	b = append(b, hostname...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, at.Unix(), 10)
+	k := string(b)
 
 	rs.vmu.RLock()
 	err, ok := rs.vcache[k]

@@ -8,10 +8,10 @@ package pki
 // forged leaf under the one proxy CA, across two platforms and every trust
 // store. Signatures over identical bytes under identical keys cannot
 // change, so verifyChain walks the path itself and routes each link
-// through a global content-addressed signature memo (keyed by the raw
-// digests of parent and child). Everything non-cryptographic — validity
-// windows, hostname matching, CA constraints, key usage — is re-evaluated
-// on every call; only the signature math is memoized.
+// through a global content-addressed signature memo (keyed by the signer's
+// SPKI digest and the child's raw digest). Everything non-cryptographic —
+// validity windows, hostname matching, CA constraints, key usage — is
+// re-evaluated on every call; only the signature math is memoized.
 //
 // The walker reproduces the exact x509.Verify semantics this simulation's
 // PKI exercises (see TestVerifyChainMatchesX509, which holds the walker to
@@ -25,23 +25,36 @@ import (
 	"crypto/sha256"
 	"crypto/x509"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// sigMemo caches signature-check outcomes keyed by the raw digests of
-// (parent, child). Content-addressed, so entries can never go stale; it
-// grows with the number of distinct certificates seen by the process.
+// sigMemo caches signature-check outcomes keyed by the signer's SPKI
+// digest and the child's raw digest. The key is exact: CheckSignature
+// reads nothing of the parent but its public key, and nothing of the child
+// but the bytes its digest covers. Keying on the parent's key rather than
+// its certificate bytes matters because a CA re-minted with the same key
+// (same seed, fresh hedged signature) still vouches for the same children.
+// Content-addressed, so entries can never go stale; it grows with the
+// number of distinct (key, certificate) pairs seen by the process.
 var sigMemo sync.Map // [2*sha256.Size]byte -> error (nil stored as nilError)
+
+// sigChecks counts the signature verifications sigMemo could not answer.
+var sigChecks atomic.Int64
 
 // nilError is the sentinel for a cached successful check (sync.Map can
 // store nil values, but a typed sentinel keeps the Load site unambiguous).
 var nilError = struct{}{}
 
+// SignatureChecks reports how many ECDSA signature verifications chain
+// validation has run in this process: the signature memo's misses.
+func SignatureChecks() int64 { return sigChecks.Load() }
+
 // checkSigCached verifies that parent's key signed child, memoized.
 func checkSigCached(parent, child *x509.Certificate) error {
 	var key [2 * sha256.Size]byte
-	p, c := RawDigest(parent), RawDigest(child)
-	copy(key[:], p[:])
+	copy(key[:], digestsOf(parent).spki256[:])
+	c := RawDigest(child)
 	copy(key[sha256.Size:], c[:])
 	if v, ok := sigMemo.Load(key); ok {
 		if v == nilError {
@@ -49,6 +62,7 @@ func checkSigCached(parent, child *x509.Certificate) error {
 		}
 		return v.(error)
 	}
+	sigChecks.Add(1)
 	err := parent.CheckSignature(child.SignatureAlgorithm, child.RawTBSCertificate, child.Signature)
 	if err == nil {
 		sigMemo.Store(key, nilError)

@@ -2,6 +2,7 @@ package pki
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/x509"
 	"fmt"
 	"testing"
@@ -81,6 +82,13 @@ func TestVerifyChainMatchesX509(t *testing.T) {
 	otherStore.Add(otherRoot.Cert)
 	empty := NewRootStore("empty")
 
+	// Re-minted parents: the intermediate's key and fields under a fresh
+	// signature, once from the same root and once from another. The
+	// signature memo is keyed on the signer's key, so the leaf link hits
+	// the entry "full chain" warmed; the verdicts must still be x509's.
+	reminted := remint(t, inter.Cert, root, nil)
+	remintedByOther := remint(t, inter.Cert, otherRoot, nil)
+
 	future := StudyEpoch.AddDate(3, 0, 0)
 	cases := []struct {
 		label string
@@ -90,6 +98,9 @@ func TestVerifyChainMatchesX509(t *testing.T) {
 		at    time.Time
 	}{
 		{"full chain", Chain{leaf.Cert, inter.Cert}, store, "api.example.com", StudyEpoch},
+		{"re-minted intermediate", Chain{leaf.Cert, reminted}, store, "api.example.com", StudyEpoch},
+		{"re-minted under another root", Chain{leaf.Cert, remintedByOther}, store, "api.example.com", StudyEpoch},
+		{"re-minted under another root, trusted", Chain{leaf.Cert, remintedByOther}, otherStore, "api.example.com", StudyEpoch},
 		{"chain with root included", Chain{leaf.Cert, inter.Cert, root.Cert}, store, "api.example.com", StudyEpoch},
 		{"wildcard SAN", Chain{leaf.Cert, inter.Cert}, store, "x.alt.example.com", StudyEpoch},
 		{"direct-under-root leaf", Chain{direct.Cert}, store, "direct.example.com", StudyEpoch},
@@ -112,6 +123,29 @@ func TestVerifyChainMatchesX509(t *testing.T) {
 	for _, tc := range cases {
 		agree(t, tc.label, tc.chain, tc.store, tc.host, tc.at)
 	}
+}
+
+// remint re-signs cert's fields and key under parent, bypassing the
+// issuance intern: the result has cert's SubjectPublicKeyInfo but fresh
+// signature bytes. mutate, when non-nil, edits the template first.
+func remint(t *testing.T, cert *x509.Certificate, parent *Authority, mutate func(*x509.Certificate)) *x509.Certificate {
+	t.Helper()
+	tmpl := *cert
+	if mutate != nil {
+		mutate(&tmpl)
+	}
+	der, err := x509.CreateCertificate(rand.Reader, &tmpl, parent.Cert, cert.PublicKey, parent.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(out.Raw, cert.Raw) || !bytes.Equal(out.RawSubjectPublicKeyInfo, cert.RawSubjectPublicKeyInfo) {
+		t.Fatal("remint did not produce new bytes over the same key")
+	}
+	return out
 }
 
 func TestVerifyChainMatchesX509OverGeneratedPKI(t *testing.T) {
@@ -166,11 +200,11 @@ func TestVerifyChainMatchesX509OverGeneratedPKI(t *testing.T) {
 }
 
 func TestSignatureMemoDetectsRogueIssuer(t *testing.T) {
-	// The memo is content-addressed by certificate bytes, so a leaf signed
-	// by a rogue CA that merely copies the genuine root's subject name
-	// must miss the cache, run the real signature check against the
-	// genuine key, and fail — even after the genuine leaf validated and
-	// warmed the memo.
+	// The memo is keyed by the signer's key and the child's bytes, so a
+	// leaf signed by a rogue CA that merely copies the genuine root's
+	// subject name must miss the cache, run the real signature check
+	// against the genuine key, and fail — even after the genuine leaf
+	// validated and warmed the memo.
 	rng := detrand.New(101)
 	root, err := NewRootCA(rng.Child("root"), "Memo Root", "Org", 10)
 	if err != nil {
@@ -201,4 +235,73 @@ func TestSignatureMemoDetectsRogueIssuer(t *testing.T) {
 		t.Fatal("rogue-signed certificate validated against the genuine root")
 	}
 	agree(t, "rogue issuer", Chain{forged.Cert}, store, "memo.example.com", StudyEpoch)
+}
+
+func TestValidateCacheTellsIntermediatesApart(t *testing.T) {
+	// Two intermediates with the same subject and key, one valid and one
+	// expired, vouch for the same leaf. RootStore.Validate caches verdicts,
+	// so its key must tell the chains apart: whichever validates first,
+	// each verdict must be x509's.
+	rng := detrand.New(103)
+	root, err := NewRootCA(rng.Child("root"), "Cache Root", "Org", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, err := root.NewIntermediate(rng.Child("inter"), "Cache Inter", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := inter.IssueLeaf(rng.Child("leaf"), "cache.example.com", LeafOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired := remint(t, inter.Cert, root, func(c *x509.Certificate) {
+		c.NotBefore = StudyEpoch.AddDate(-3, 0, 0)
+		c.NotAfter = StudyEpoch.AddDate(-1, 0, 0)
+	})
+	good, bad := Chain{leaf.Cert, inter.Cert}, Chain{leaf.Cert, expired}
+	for _, order := range [][]Chain{{good, bad}, {bad, good}} {
+		store := NewRootStore("cache")
+		store.Add(root.Cert)
+		for _, c := range order {
+			got := store.Validate(c, "cache.example.com", StudyEpoch)
+			want := x509Verify(c, store, "cache.example.com", StudyEpoch)
+			if (got == nil) != (want == nil) {
+				t.Fatalf("chain via intermediate valid until %s: Validate says %v, x509.Verify says %v",
+					c[1].NotAfter.Format("2006-01-02"), got, want)
+			}
+		}
+	}
+}
+
+func TestCAIssuanceInterned(t *testing.T) {
+	// Re-deriving a CA from the same rng stream returns the certificate
+	// already issued, Raw bytes included, for roots and intermediates.
+	derive := func() (*Authority, *Authority) {
+		rng := detrand.New(107)
+		root, err := NewRootCA(rng.Child("root"), "Intern Root", "Org", 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inter, err := root.NewIntermediate(rng.Child("inter"), "Intern Inter", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return root, inter
+	}
+	r1, i1 := derive()
+	r2, i2 := derive()
+	if !bytes.Equal(r1.Cert.Raw, r2.Cert.Raw) {
+		t.Fatal("re-derived root was minted afresh")
+	}
+	if !bytes.Equal(i1.Cert.Raw, i2.Cert.Raw) {
+		t.Fatal("re-derived intermediate was minted afresh")
+	}
+	other, err := NewRootCA(detrand.New(107).Child("root"), "Intern Root 2", "Org", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(other.Cert.Raw, r1.Cert.Raw) {
+		t.Fatal("a root with a different name hit the intern")
+	}
 }

@@ -79,7 +79,6 @@ func TestHandshakeAndEchoTLS13(t *testing.T) {
 		t.Fatalf("response: %q", resp)
 	}
 	conn.Close()
-	f.net.WaitIdle()
 
 	flows := cap.Flows()
 	if len(flows) != 1 {
@@ -130,7 +129,6 @@ func TestHandshakeTLS12ExposesChainAndAppData(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	f.net.WaitIdle()
 
 	fl := cap.Flows()[0]
 	chain := fl.ObservedChain()
@@ -163,7 +161,6 @@ func TestUntrustedChainRejected(t *testing.T) {
 	if !errors.As(err, &he) || he.Stage != "verify" {
 		t.Fatalf("err = %v, want verify-stage failure", err)
 	}
-	f.net.WaitIdle()
 }
 
 func TestSkipVerifyAcceptsAnything(t *testing.T) {
@@ -178,7 +175,6 @@ func TestSkipVerifyAcceptsAnything(t *testing.T) {
 		t.Fatalf("SkipVerify handshake failed: %v", err)
 	}
 	conn.Close()
-	f.net.WaitIdle()
 }
 
 func TestPinMatchSucceeds(t *testing.T) {
@@ -195,7 +191,6 @@ func TestPinMatchSucceeds(t *testing.T) {
 		t.Fatalf("pinned handshake failed against matching chain: %v", err)
 	}
 	conn.Close()
-	f.net.WaitIdle()
 }
 
 // pinFailureSignature runs a pinned client against a non-matching chain in
@@ -221,7 +216,6 @@ func pinFailureSignature(t *testing.T, mode tlswire.FailureMode, maxV tlswire.Ve
 		t.Fatalf("err = %v, want pin failure", err)
 	}
 	tr.Close(tlswire.CloseFIN) // app teardown
-	f.net.WaitIdle()
 	return cap.Flows()[0]
 }
 
@@ -302,7 +296,6 @@ func TestVersionNegotiationFailure(t *testing.T) {
 	if !errors.As(err, &he) || he.Stage != "peer-alert" || he.Alert != tlswire.AlertProtocolVersion {
 		t.Fatalf("err = %v, want protocol_version peer alert", err)
 	}
-	f.net.WaitIdle()
 	// This is the paper's confounder: an alert that is NOT pinning.
 	fl := cap.Flows()[0]
 	found := false
@@ -328,7 +321,6 @@ func TestServerResetInjection(t *testing.T) {
 	if err == nil {
 		t.Fatal("handshake succeeded against resetting server")
 	}
-	f.net.WaitIdle()
 	if _, s := cap.Flows()[0].CloseFlags(); s != tlswire.CloseRST {
 		t.Fatalf("server close flag %s, want RST", s)
 	}
@@ -352,7 +344,6 @@ func TestNegotiateVersionAndCipherCoupling(t *testing.T) {
 		t.Fatalf("1.3 session negotiated %s", conn.Cipher)
 	}
 	conn.Close()
-	f.net.WaitIdle()
 }
 
 func TestWeakCipherClassification(t *testing.T) {
@@ -403,7 +394,6 @@ func TestExpiredLeafRejected(t *testing.T) {
 	if !errors.As(err, &he) || he.Stage != "verify" {
 		t.Fatalf("expired chain: err = %v, want verify failure", err)
 	}
-	n.WaitIdle()
 }
 
 func TestDialUnknownHost(t *testing.T) {
@@ -426,7 +416,6 @@ func TestConnSendAfterClose(t *testing.T) {
 	if err := conn.Send([]byte("late")); err == nil {
 		t.Fatal("Send after Close succeeded")
 	}
-	f.net.WaitIdle()
 }
 
 func TestSessionTicketsDoNotDisturbClients(t *testing.T) {
@@ -449,7 +438,6 @@ func TestSessionTicketsDoNotDisturbClients(t *testing.T) {
 		t.Fatalf("resp %q err %v", resp, err)
 	}
 	conn.Close()
-	f.net.WaitIdle()
 
 	// The tickets appear on the wire as extra server application_data
 	// records — and as exactly that, nothing else.
@@ -481,7 +469,6 @@ func TestSessionTicketsTLS12Ignored(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	f.net.WaitIdle()
 	for _, r := range cap.Flows()[0].Records() {
 		if !r.FromClient && r.WireType == tlswire.RecAppData {
 			t.Fatal("1.2 session produced app-data records without app data")

@@ -316,11 +316,11 @@ func (c CloseFlag) String() string {
 
 // Transport moves records between two TLS endpoints. Implementations are
 // provided by internal/netem; mitmproxy interposes by owning a Transport on
-// each side.
+// each side. A Transport is used by one goroutine at a time.
 type Transport interface {
 	// Send transmits one record to the peer.
 	Send(Record) error
-	// Recv blocks for the next record from the peer. It returns
+	// Recv waits for the next record from the peer. It returns
 	// ErrPeerClosed (wrapped, carrying the close flag) once the peer has
 	// closed and all buffered records are drained.
 	Recv() (Record, error)

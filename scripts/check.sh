@@ -3,8 +3,9 @@
 # pinlint invariant suite diffed against its checked-in baseline, full
 # test suite (shuffled), a race-detector pass over the whole tree (minus
 # the slowest fault-injection e2e sweeps), a race-checked network-chaos
-# smoke over both shard transports, a one-iteration benchmark smoke, and
-# a short fuzz smoke over journal recovery.
+# smoke over both shard transports, a one-iteration benchmark smoke, a
+# perfbench run gated on its export digests, and a short fuzz smoke over
+# journal recovery.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,8 +23,8 @@ go build ./...
 
 # go vet with an explicit pass list rather than the implicit default set.
 # The first three are the load-bearing ones for this codebase and must
-# never silently fall out of the gate: copylocks (the study runner and
-# record pipes pass sync-bearing structs through worker channels),
+# never silently fall out of the gate: copylocks (the study runner passes
+# sync-bearing structs through worker channels),
 # loopclosure (the worker pool and serving tests start goroutines inside
 # range loops), and atomic (the snapshot swap path must not mix atomic and
 # plain access). The remainder is today's full standard suite, spelled out
@@ -99,6 +100,13 @@ done
 # crypto-plane trajectory benches) still runs; numbers are discarded.
 echo "==> bench smoke"
 ./scripts/bench.sh --smoke
+
+# perfbench smoke: a short study-rerun run of the benchmark. Every study
+# it runs is exported and hashed against perfbench/expected.json, and a
+# mismatch exits non-zero, so any drift in what the emulated network, the
+# PKI or the analyses export fails the gate here.
+echo "==> perfbench study-rerun smoke (export-SHA gate)"
+bash perfbench/run.sh --workload study-rerun --seconds 3
 
 # A short native-fuzz smoke over journal recovery: whatever bytes end up
 # on disk, Recover must never panic and never return unverified data.
