@@ -66,13 +66,13 @@ resume-demo:
 
 # shard-demo shows the crash-tolerant sharded coordinator end to end: the
 # mini study runs as 4 crash-only slices with two workers killed mid-slice
-# (survivors take over the expired leases and resume from the dead shards'
-# journals), then the slice journals are stream-merged; the merged export
-# must be byte-identical to an unsharded same-seed run's.
+# (survivors take over the released leases and resume from the dead
+# shards' journals), then the slice journals are stream-merged; the merged
+# export must be byte-identical to an unsharded same-seed run's.
 shard-demo:
 	rm -rf /tmp/pinscope-shards /tmp/pinscope-sharded.json* /tmp/pinscope-unsharded.json*
 	$(GO) run ./cmd/pinstudy -scale mini -export /tmp/pinscope-unsharded.json > /dev/null
-	$(GO) run ./cmd/pinstudy -scale mini -shards 4 -journal /tmp/pinscope-shards -shard-kill 1@3,3@5 -kill-torn 9
+	$(GO) run ./cmd/pinstudy -scale mini -shards 4 -journal /tmp/pinscope-shards -shard-kill 1@3,3@5
 	$(GO) run ./cmd/pinstudy -scale mini -shards 4 -journal /tmp/pinscope-shards -merge -export /tmp/pinscope-sharded.json
 	cmp /tmp/pinscope-unsharded.json /tmp/pinscope-sharded.json
 	@echo "shard-demo: merged sharded export is byte-identical to the unsharded run"

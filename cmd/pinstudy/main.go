@@ -26,8 +26,9 @@
 // the coordinator, serving the run over message-framed TCP, and any number
 // of `pinstudy -shard-connect host:port` workers (started before, after,
 // or restarted mid-run) dial in, receive the run configuration over the
-// wire, and stream slice results back under the same lease protocol. The
-// journals land on the coordinator's disk; merge as usual with -merge.
+// wire, and stream slice results back to the same lease coordinator a
+// local -shards run uses. The journals land on the coordinator's disk;
+// merge as usual with -merge.
 //
 // With -timeline the study runs longitudinally: the same app universe is
 // replayed across root-program releases and distrust events (-points picks
@@ -66,7 +67,7 @@ func main() {
 	jpath := flag.String("journal", "", "write-ahead journal path: stream results durably as they complete")
 	resume := flag.Bool("resume", false, "resume from an existing -journal, replaying completed apps")
 	killAfter := flag.Int("kill-after", 0, "fault injection: die after N journaled results (requires -journal)")
-	killTorn := flag.Int("kill-torn", 0, "fault injection: bytes of the interrupted frame left on disk")
+	killTorn := flag.Int("kill-torn", 0, "fault injection: bytes of the interrupted frame left on disk (with -kill-after)")
 	shards := flag.Int("shards", 0, "run the study as N crash-only slices; -journal names the shard directory")
 	shardKill := flag.String("shard-kill", "", "fault injection: comma-separated slice@afterN worker deaths (requires -shards)")
 	merge := flag.Bool("merge", false, "merge a completed sharded run's journals into the dataset (requires -shards)")
@@ -107,6 +108,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pinstudy: -resume and -kill-after require -journal")
 		os.Exit(2)
 	}
+	if *killTorn > 0 && *killAfter <= 0 {
+		fmt.Fprintln(os.Stderr, "pinstudy: -kill-torn requires -kill-after")
+		os.Exit(2)
+	}
 	cfg.JournalPath = *jpath
 	cfg.Resume = *resume
 	cfg.KillAfter = *killAfter
@@ -122,7 +127,7 @@ func main() {
 		return
 	}
 	if *shards > 0 || *merge || *shardKill != "" {
-		runSharded(cfg, *shards, *shardKill, *killTorn, *jpath, *export, *workers, *merge)
+		runSharded(cfg, *shards, *shardKill, *jpath, *export, *workers, *merge)
 		return
 	}
 	if *timeline || *points != "" || *killAtPoint != "" {
@@ -315,7 +320,7 @@ func pointExportPath(base, tag string) string {
 
 // runSharded handles the -shards / -shard-kill / -merge modes: the study as
 // a fleet of crash-only slices, and the streaming merge of their journals.
-func runSharded(cfg pinscope.Config, shards int, shardKill string, killTorn int,
+func runSharded(cfg pinscope.Config, shards int, shardKill string,
 	dir, export string, workers int, merge bool) {
 	if shards <= 0 {
 		fmt.Fprintln(os.Stderr, "pinstudy: -shard-kill and -merge require -shards")
@@ -333,7 +338,7 @@ func runSharded(cfg pinscope.Config, shards int, shardKill string, killTorn int,
 	}
 	opts := pinscope.ShardOptions{
 		Shards: shards, Workers: workers, Dir: dir,
-		Kills: kills, KillTorn: killTorn,
+		Kills: kills,
 	}
 
 	if merge {

@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"pinscope/internal/faultinject"
-	"pinscope/internal/shardcoord"
 	"pinscope/internal/worldgen"
 )
 
@@ -25,34 +24,22 @@ type ChaosPoint struct {
 	// of the dynamic pinning prevalence versus the fault-free reference, in
 	// percentage points.
 	MaxAbsDriftPP float64
-	// Sharded is the shard-death drill at this rate: the same point rerun
-	// as a 4-shard sharded study under a ShardPlan derived from (seed,
-	// rate), with the merged export held against the point's own export.
-	// Nil for the rate-0 reference and for rates whose derived plan is
-	// empty.
+	// Sharded is the shard drill at this rate: the same point rerun as a
+	// 4-shard sharded study under a ShardPlan derived from (seed, rate) —
+	// worker kills, lease expiries, and the network family (delays,
+	// drops, duplicate delivery, partitions) on the simulated transport —
+	// with the merged export held against the point's own export. Nil for
+	// the rate-0 reference and for rates whose derived plan is empty.
 	Sharded *ShardDrill
-	// Net is the network-chaos drill at this rate: the same point rerun
-	// over the simulated shardnet transport under the derived plan's
-	// network fault family (delays, drops, duplicate delivery,
-	// partitions) plus its worker kills, again held byte-identical to the
-	// point's own export. Nil under the same conditions as Sharded.
-	Net *NetDrill
 }
 
-// ShardDrill is one chaos point's sharded rerun: coordinator accounting
-// plus the merge-equivalence verdict. ChaosSweep fails loudly if the merge
-// diverges, so a recorded drill always has ByteIdentical true — the field
-// keeps the report honest about what was checked rather than assumed.
+// ShardDrill is one chaos point's sharded rerun: coordinator accounting,
+// the injected network fault count, and the merge-equivalence verdict.
+// ChaosSweep fails loudly if the merge diverges, so a recorded drill
+// always has ByteIdentical true — the field keeps the report honest about
+// what was checked rather than assumed.
 type ShardDrill struct {
-	Stats         shardcoord.Stats
-	ByteIdentical bool
-}
-
-// NetDrill is one chaos point's transported rerun over the simulated
-// network: transport accounting, the injected fault counts, and the
-// merge-equivalence verdict (same loud-failure contract as ShardDrill).
-type NetDrill struct {
-	Stats         NetShardStats
+	Stats         ShardStats
 	NetFaults     int
 	ByteIdentical bool
 }
@@ -66,9 +53,9 @@ func DynamicPrevalencePct(c Table3Cell) float64 {
 }
 
 // ChaosSweep reruns the study at each fault rate (plus a rate-0 reference)
-// and reports per-rate robustness accounting and Table 3 drift. A fresh
-// world is built per point: a study mutates world state (iOS package
-// decryption), so reusing one world would couple the points.
+// and reports per-rate robustness accounting and Table 3 drift. Each
+// point builds its own world and runs as its own study, exactly as a
+// standalone run at that rate would.
 //
 // Points with a positive rate run with a Uniform fault plan seeded from
 // cfg.Params.Seed and at least two retries, so the sweep exercises the full
@@ -128,19 +115,15 @@ func chaosPoint(cfg Config, rate float64) (ChaosPoint, error) {
 		if err != nil {
 			return ChaosPoint{}, err
 		}
-		pt.Net, err = netDrill(cfg, rate, s)
-		if err != nil {
-			return ChaosPoint{}, err
-		}
 	}
 	return pt, nil
 }
 
 // shardDrill reruns one chaos point as a sharded study under a derived
-// shard-death plan and verifies the merged export matches the point's own
+// shard fault plan and verifies the merged export matches the point's own
 // export byte for byte — the sweep's coverage of the crash-tolerance
-// machinery: rising fault rates kill shards too, and the dataset must not
-// notice.
+// machinery: rising fault rates kill and stall shards and batter the wire
+// between them, and the dataset must not notice.
 func shardDrill(cfg Config, rate float64, s *Study) (*ShardDrill, error) {
 	const shards, workers = 4, 4
 	ranges := sliceRanges(len(shardUniverse(s.World)), shards)
@@ -172,44 +155,5 @@ func shardDrill(cfg Config, rate float64, s *Study) (*ShardDrill, error) {
 		return nil, fmt.Errorf("core: chaos shard drill at rate %g: merged export diverges from the point's own export (%d vs %d bytes)",
 			rate, merged.Len(), single.Len())
 	}
-	return &ShardDrill{Stats: *stats, ByteIdentical: true}, nil
-}
-
-// netDrill reruns one chaos point over the simulated shardnet transport
-// under the same derived fault plan — kills become mid-stream connection
-// deaths, and the plan's network family batters the wire itself — then
-// holds the merged export against the point's own export byte for byte:
-// the sweep's proof that a hostile network degrades progress, never data.
-func netDrill(cfg Config, rate float64, s *Study) (*NetDrill, error) {
-	const shards, workers = 4, 4
-	ranges := sliceRanges(len(shardUniverse(s.World)), shards)
-	items := make([]int, len(ranges))
-	for i, rg := range ranges {
-		items[i] = rg[1]
-	}
-	plan := faultinject.DeriveShardPlan(cfg.Params.Seed, rate, workers, items)
-	if plan == nil {
-		return nil, nil
-	}
-	dir, err := os.MkdirTemp("", "pinscope-chaos-net-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	stats, err := RunShardedNet(cfg, ShardedConfig{Shards: shards, Workers: workers, Dir: dir, Faults: plan})
-	if err != nil {
-		return nil, fmt.Errorf("core: chaos net drill at rate %g: %w", rate, err)
-	}
-	var single, merged bytes.Buffer
-	if err := s.WriteJSON(&single); err != nil {
-		return nil, err
-	}
-	if err := MergeShards(&merged, cfg, ShardedConfig{Shards: shards, Dir: dir}); err != nil {
-		return nil, fmt.Errorf("core: chaos net drill at rate %g: %w", rate, err)
-	}
-	if !bytes.Equal(merged.Bytes(), single.Bytes()) {
-		return nil, fmt.Errorf("core: chaos net drill at rate %g: merged export diverges from the point's own export (%d vs %d bytes)",
-			rate, merged.Len(), single.Len())
-	}
-	return &NetDrill{Stats: *stats, NetFaults: plan.Net.Faults(), ByteIdentical: true}, nil
+	return &ShardDrill{Stats: *stats, NetFaults: plan.Net.Faults(), ByteIdentical: true}, nil
 }

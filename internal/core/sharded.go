@@ -3,13 +3,16 @@ package core
 // sharded.go runs the study as a fleet of crash-only shards and merges
 // their journals back into the canonical export. The app universe — the
 // same deduped work list a single-process run uses, re-sorted into export
-// order — is cut into contiguous slices; internal/shardcoord hands the
-// slices to workers under crash-tolerant leases, and every worker journals
-// its slice through the same WAL the single-process runner uses. Because
-// each result frame is a pure function of (run config, app), the slice
-// journals' contents are independent of scheduling, takeovers and kills —
-// which is what lets MergeShards stitch them into an export byte-identical
-// to an unsharded same-seed run, streaming one frame at a time.
+// order — is cut into contiguous slices; the internal/shardnet coordinator
+// hands the slices to workers under crash-tolerant leases and journals
+// every slice through the same WAL the single-process runner uses. An
+// in-process run drives its worker fleet over the simulated network; a
+// cross-machine run (shardnet.go) serves the same coordinator over TCP.
+// Because each result frame is a pure function of (run config, app), the
+// slice journals' contents are independent of scheduling, takeovers and
+// kills — which is what lets MergeShards stitch them into an export
+// byte-identical to an unsharded same-seed run, streaming one frame at a
+// time.
 
 import (
 	"bytes"
@@ -20,28 +23,35 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"pinscope/internal/faultinject"
 	"pinscope/internal/journal"
-	"pinscope/internal/shardcoord"
+	"pinscope/internal/shardnet"
 	"pinscope/internal/worldgen"
 )
 
 // ShardedConfig parameterizes a sharded run of a study Config.
 type ShardedConfig struct {
-	// Shards is the slice count; Workers (0 = one per shard) the worker
-	// pool measuring them.
+	// Shards is the slice count; Workers (0 = one per shard, at most one
+	// per shard) the in-process worker fleet measuring them.
 	Shards  int
 	Workers int
 	// Dir holds the slice journals (shard-NNN.wal), created if missing.
 	// Rerunning over an interrupted run's directory resumes from the
 	// journals instead of recomputing.
 	Dir string
-	// LeaseTTL is the lease duration in logical ticks (0 = default).
-	LeaseTTL int64
-	// Faults is the deterministic shard-death plan (kills, induced lease
-	// expiries). Nil injects nothing.
+	// Faults is the deterministic shard fault plan: worker kills, induced
+	// lease expiries, and the network family the simulated transport
+	// injects. Nil injects nothing.
 	Faults *faultinject.ShardPlan
+}
+
+// ShardStats reports a sharded run: the coordinator's accounting plus
+// the injected worker deaths that fired.
+type ShardStats struct {
+	shardnet.Stats
+	WorkersKilled int
 }
 
 // shardMeta is a slice journal's header: the full run configuration plus
@@ -85,10 +95,10 @@ func sliceRanges(n, shards int) [][2]int {
 	return out
 }
 
-// shardSlices renders the shardcoord slice list for (cfg, sc, universe).
-func shardSlices(cfg Config, sc ShardedConfig, n int) ([]shardcoord.Slice, [][2]int, error) {
+// shardSlices renders the coordinator's slice list for (cfg, sc, universe).
+func shardSlices(cfg Config, sc ShardedConfig, n int) ([]shardnet.Slice, [][2]int, error) {
 	ranges := sliceRanges(n, sc.Shards)
-	slices := make([]shardcoord.Slice, 0, sc.Shards)
+	slices := make([]shardnet.Slice, 0, sc.Shards)
 	for i, rg := range ranges {
 		meta, err := json.Marshal(shardMeta{
 			Run: metaFor(cfg), Slice: i, Slices: sc.Shards, Start: rg[0], Count: rg[1],
@@ -96,33 +106,24 @@ func shardSlices(cfg Config, sc ShardedConfig, n int) ([]shardcoord.Slice, [][2]
 		if err != nil {
 			return nil, nil, err
 		}
-		slices = append(slices, shardcoord.Slice{Path: shardPath(sc.Dir, i), Meta: meta, Items: rg[1]})
+		slices = append(slices, shardnet.Slice{Path: shardPath(sc.Dir, i), Meta: meta, Items: rg[1]})
 	}
 	return slices, ranges, nil
 }
 
-// shardBench adapts one worker's lab to the coordinator: each worker gets
-// its own crypto plane and bench, the in-process stand-in for a separate
-// shard machine.
-type shardBench struct {
+// shardRun is what every coordinator of a sharded run starts from: the
+// validated config, its world and universe, and the slices.
+type shardRun struct {
+	cfg    Config
+	w      *worldgen.World
 	uni    []workItem
 	ranges [][2]int
-	lab    *lab
+	slices []shardnet.Slice
 }
 
-func (b *shardBench) RunItem(slice, item int) ([]byte, error) {
-	it := b.uni[b.ranges[slice][0]+item]
-	res := b.lab.studyAppResilient(it.app, it.common)
-	return encodeAppResult(it.key(), res)
-}
-
-// RunSharded executes the study as sc.Shards crash-only slices under the
-// lease coordinator, leaving one complete journal per slice in sc.Dir.
-// It does not build a Study: the deliverable of a sharded run is its
-// journals, folded into an export by MergeShards. If the run is killed
-// (injected or real), rerunning with the same arguments resumes every
-// slice from its journal.
-func RunSharded(cfg Config, sc ShardedConfig) (*shardcoord.Stats, error) {
+// newShardRun validates a sharded run, creates its journal directory and
+// builds its world and slices.
+func newShardRun(cfg Config, sc ShardedConfig) (*shardRun, error) {
 	if cfg.Window == 0 {
 		cfg.Window = 30
 	}
@@ -147,27 +148,96 @@ func RunSharded(cfg Config, sc ShardedConfig) (*shardcoord.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return shardcoord.Run(shardcoord.Config{
-		Slices:   slices,
-		Workers:  sc.Workers,
-		LeaseTTL: sc.LeaseTTL,
-		Faults:   sc.Faults,
-		NewBench: func(worker int) (shardcoord.Bench, error) {
-			var plane *cryptoPlane
-			if !cfg.ColdCrypto {
-				var perr error
-				plane, perr = newCryptoPlane(cfg, w)
-				if perr != nil {
-					return nil, perr
-				}
-			}
-			lab, lerr := newLab(cfg, w, plane)
-			if lerr != nil {
-				return nil, lerr
-			}
-			return &shardBench{uni: uni, ranges: ranges, lab: lab}, nil
-		},
+	return &shardRun{cfg: cfg, w: w, uni: uni, ranges: ranges, slices: slices}, nil
+}
+
+// bench builds one worker's bench on the run's world: its own crypto
+// plane and lab, the in-process stand-in for a separate shard machine.
+func (r *shardRun) bench() (shardnet.Bench, error) {
+	var plane *cryptoPlane
+	if !r.cfg.ColdCrypto {
+		var err error
+		if plane, err = newCryptoPlane(r.cfg, r.w); err != nil {
+			return nil, err
+		}
+	}
+	lab, err := newLab(r.cfg, r.w, plane)
+	if err != nil {
+		return nil, err
+	}
+	return &shardBench{uni: r.uni, ranges: r.ranges, lab: lab}, nil
+}
+
+// shardBench adapts one worker's lab to the coordinator's item protocol.
+type shardBench struct {
+	uni    []workItem
+	ranges [][2]int
+	lab    *lab
+}
+
+func (b *shardBench) RunItem(slice, item int) ([]byte, error) {
+	it := b.uni[b.ranges[slice][0]+item]
+	res := b.lab.studyAppResilient(it.app, it.common)
+	return encodeAppResult(it.key(), res)
+}
+
+// RunSharded executes the study as sc.Shards crash-only slices, leaving
+// one complete journal per slice in sc.Dir. A fleet of sc.Workers
+// in-process workers, sharing the run's world, drives the shardnet
+// coordinator over the simulated network, which renders the whole fault
+// plan: kills as mid-stream worker deaths, lease expiries as holders gone
+// silent past their TTL, and the network family as transport chaos.
+// Without network chaos the returned stats repeat across reruns (see
+// shardnet.Stats for the one exception). RunSharded does not build a
+// Study: the deliverable of a sharded run is its journals, folded into an
+// export by MergeShards. If the run is killed (injected or real),
+// rerunning with the same arguments resumes every slice from its journal.
+func RunSharded(cfg Config, sc ShardedConfig) (*ShardStats, error) {
+	r, err := newShardRun(cfg, sc)
+	if err != nil {
+		return nil, err
+	}
+	net := shardnet.NewSimNet(sc.Faults.NetFaults())
+	coord, err := shardnet.NewCoordinator(shardnet.Config{
+		Listener:    net.Listener(),
+		Clock:       net,
+		Slices:      r.slices,
+		BackoffSeed: r.cfg.Params.Seed,
 	})
+	if err != nil {
+		return nil, err
+	}
+	workers := sc.Workers
+	if workers <= 0 || workers > sc.Shards {
+		workers = sc.Shards
+	}
+	faults := shardnet.PlanFaults(sc.Faults, shardnet.DefaultSimTTL)
+	net.ExpectDials(workers)
+	stats, errs, err := shardnet.RunFleet(coord, workers, func(i int) error {
+		return shardnet.RunWorker(net.Dialer(), shardnet.WorkerOptions{
+			Clock:       net,
+			NewBench:    func([]byte) (shardnet.Bench, error) { return r.bench() },
+			Reconnects:  16,
+			BackoffSeed: r.cfg.Params.Seed,
+			Scope:       "sim/" + strconv.Itoa(i),
+			FaultTap:    faults,
+		})
+	})
+	return fleetStats(stats, errs), err
+}
+
+// fleetStats folds a fleet's outcome into ShardStats.
+func fleetStats(stats *shardnet.Stats, errs []error) *ShardStats {
+	out := &ShardStats{}
+	if stats != nil {
+		out.Stats = *stats
+	}
+	for _, e := range errs {
+		if errors.Is(e, shardnet.ErrWorkerKilled) {
+			out.WorkersKilled++
+		}
+	}
+	return out
 }
 
 // MergeShards streams the slice journals of a completed sharded run into
@@ -217,7 +287,7 @@ func MergeShards(out io.Writer, cfg Config, sc ShardedConfig) error {
 }
 
 // mergeSlice folds one slice journal into the stream.
-func mergeSlice(se *StreamExporter, sl shardcoord.Slice, rg [2]int,
+func mergeSlice(se *StreamExporter, sl shardnet.Slice, rg [2]int,
 	uni []workItem, membership map[string][]string, dests map[string]bool) error {
 	r, err := journal.OpenReader(sl.Path)
 	if err != nil {

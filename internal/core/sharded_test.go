@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestStreamExporterEmptyDocument(t *testing.T) {
 }
 
 // shardedExport runs cfg as a sharded study and merges the journals.
-func shardedExport(t *testing.T, cfg Config, sc ShardedConfig) []byte {
+func shardedExport(t *testing.T, cfg Config, sc ShardedConfig) ([]byte, *ShardStats) {
 	t.Helper()
 	stats, err := RunSharded(cfg, sc)
 	if err != nil {
@@ -75,7 +76,7 @@ func shardedExport(t *testing.T, cfg Config, sc ShardedConfig) []byte {
 	if err := MergeShards(&buf, cfg, sc); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), stats
 }
 
 func TestShardedRunMergesByteIdentical(t *testing.T) {
@@ -99,28 +100,95 @@ func TestShardedRunMergesByteIdentical(t *testing.T) {
 			Expiries: []faultinject.LeaseExpiry{{Slice: 2, AfterResults: 1}},
 		},
 	}
-	merged := shardedExport(t, shardedCfg, sc)
+	merged, stats := shardedExport(t, shardedCfg, sc)
 	if !bytes.Equal(merged, single) {
 		t.Fatalf("sharded merge diverges from single-process export (%d vs %d bytes)",
 			len(merged), len(single))
 	}
 
 	// And the faults must actually have fired, or the test proved nothing.
-	stats2, err := RunSharded(shardedCfg, ShardedConfig{
-		Shards: 4, Workers: 4, Dir: t.TempDir(), Faults: sc.Faults,
-	})
+	// A dead worker's connection releases its lease at once, so the kills
+	// show as reassignments; only the stalled holder's lease expires.
+	if stats.WorkersKilled != 2 {
+		t.Fatalf("WorkersKilled = %d, want 2", stats.WorkersKilled)
+	}
+	if stats.Reassigned < 3 { // both killed slices and the stalled one
+		t.Fatalf("Reassigned = %d, want >= 3 (stats %+v)", stats.Reassigned, stats)
+	}
+	if stats.ResumedFrames < 3 {
+		t.Fatalf("ResumedFrames = %d, want >= 3 (survivors must resume, not recompute)", stats.ResumedFrames)
+	}
+	if stats.Expired < 1 {
+		t.Fatalf("Expired = %d, want >= 1 (the stalled holder's lease must expire)", stats.Expired)
+	}
+	if stats.Fenced != 0 {
+		t.Fatalf("Fenced = %d: the stalled holder must drop its grant, not keep sending as a zombie", stats.Fenced)
+	}
+}
+
+func TestShardNetSimMergesByteIdentical(t *testing.T) {
+	// The same equivalence under a seeded sweep of every network fault
+	// kind on the simulated transport — a delayed frame, a dropped frame
+	// (severed conn), duplicate delivery, a partition long enough to
+	// expire a lease — plus a mid-stream worker death.
+	cfg := microCfg(29)
+	single := exportBytes(t, runCfg(t, cfg))
+
+	shardedCfg := cfg
+	shardedCfg.Workers = 0
+	sc := ShardedConfig{
+		Shards:  4,
+		Workers: 3,
+		Dir:     t.TempDir(),
+		Faults: &faultinject.ShardPlan{
+			Kills: []faultinject.ShardKill{{Slice: 2, AfterResults: 1, TornBytes: 7}},
+			Net: &faultinject.NetChaos{
+				Delays:     []faultinject.NetDelay{{Slice: 0, Item: 1, Ticks: faultinject.NetTTL / 2}},
+				Drops:      []faultinject.NetDrop{{Slice: 1, Item: 1}},
+				Dups:       []faultinject.NetDup{{Slice: 2, Item: 0}},
+				Partitions: []faultinject.NetPartition{{Slice: 3, AfterItem: 0, Ticks: 3 * faultinject.NetTTL / 2}},
+			},
+		},
+	}
+	merged, stats := shardedExport(t, shardedCfg, sc)
+	if !bytes.Equal(merged, single) {
+		t.Fatalf("network-chaos sharded merge diverges from single-process export (%d vs %d bytes)",
+			len(merged), len(single))
+	}
+
+	// The faults must actually have fired, or the equivalence proved
+	// nothing.
+	if stats.WorkersKilled != 1 {
+		t.Fatalf("WorkersKilled = %d, want 1", stats.WorkersKilled)
+	}
+	if stats.Duplicates < 1 {
+		t.Fatalf("Duplicates = %d, want >= 1 (injected duplicate never arrived twice)", stats.Duplicates)
+	}
+	if stats.ConnDrops < 2 { // the dropped frame severs one conn, the kill another
+		t.Fatalf("ConnDrops = %d, want >= 2", stats.ConnDrops)
+	}
+	if stats.Expired < 1 { // the partition must outlive a lease TTL
+		t.Fatalf("Expired = %d, want >= 1 (partition never expired a lease)", stats.Expired)
+	}
+	if stats.Reassigned < 1 {
+		t.Fatalf("Reassigned = %d, want >= 1", stats.Reassigned)
+	}
+}
+
+// derivedPlan derives the seeded shard fault plan the chaos sweep uses
+// for cfg cut into shards slices.
+func derivedPlan(t *testing.T, cfg Config, shards, workers int) *faultinject.ShardPlan {
+	t.Helper()
+	w, err := worldgen.Build(cfg.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.WorkersKilled != 2 {
-		t.Fatalf("WorkersKilled = %d, want 2", stats2.WorkersKilled)
+	ranges := sliceRanges(len(shardUniverse(w)), shards)
+	items := make([]int, len(ranges))
+	for i, rg := range ranges {
+		items[i] = rg[1]
 	}
-	if stats2.Expired < 2 { // each killed holder's lease must expire
-		t.Fatalf("Expired = %d, want >= 2", stats2.Expired)
-	}
-	if stats2.ResumedFrames < 3 {
-		t.Fatalf("ResumedFrames = %d, want >= 3 (survivors must resume, not recompute)", stats2.ResumedFrames)
-	}
+	return faultinject.DeriveShardPlan(cfg.Params.Seed, 1.0, workers, items)
 }
 
 func TestShardedDerivedPlanMergesByteIdentical(t *testing.T) {
@@ -131,62 +199,106 @@ func TestShardedDerivedPlanMergesByteIdentical(t *testing.T) {
 
 	shardedCfg := cfg
 	shardedCfg.Workers = 0
-	w, err := worldgen.Build(cfg.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranges := sliceRanges(len(shardUniverse(w)), 4)
-	items := make([]int, len(ranges))
-	for i, rg := range ranges {
-		items[i] = rg[1]
-	}
-	plan := faultinject.DeriveShardPlan(cfg.Params.Seed, 1.0, 4, items)
+	plan := derivedPlan(t, cfg, 4, 4)
 	if plan == nil || len(plan.Kills) == 0 {
 		t.Fatalf("derived plan injected nothing: %+v", plan)
 	}
 	sc := ShardedConfig{Shards: 4, Workers: 4, Dir: t.TempDir(), Faults: plan}
-	merged := shardedExport(t, shardedCfg, sc)
+	merged, _ := shardedExport(t, shardedCfg, sc)
 	if !bytes.Equal(merged, single) {
 		t.Fatalf("derived-plan sharded merge diverges (%d vs %d bytes)", len(merged), len(single))
 	}
 }
 
+func TestShardNetDerivedPlanMergesByteIdentical(t *testing.T) {
+	// A second derived plan, with its network family, over a shape with
+	// fewer workers than slices: takeovers queue behind busy workers while
+	// the wire misbehaves.
+	cfg := microCfg(61)
+	single := exportBytes(t, runCfg(t, cfg))
+
+	shardedCfg := cfg
+	shardedCfg.Workers = 0
+	plan := derivedPlan(t, cfg, 5, 3)
+	if plan == nil || !plan.Net.Any() {
+		t.Fatalf("derived plan injected no network chaos: %+v", plan)
+	}
+	sc := ShardedConfig{Shards: 5, Workers: 3, Dir: t.TempDir(), Faults: plan}
+	merged, _ := shardedExport(t, shardedCfg, sc)
+	if !bytes.Equal(merged, single) {
+		t.Fatalf("derived-plan sharded merge diverges (%d vs %d bytes)", len(merged), len(single))
+	}
+}
+
+// interruptedRun runs cfg as 3 slices on one worker that dies after two
+// results of slice 0. The run must fail loudly, and a merge of what it
+// left must refuse to emit partial data.
+func interruptedRun(t *testing.T, cfg Config, dir string) {
+	t.Helper()
+	sc := ShardedConfig{Shards: 3, Workers: 1, Dir: dir,
+		Faults: &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 2, TornBytes: 5}}}}
+	if _, err := RunSharded(cfg, sc); err == nil {
+		t.Fatal("run with its only worker killed reported success")
+	} else if !strings.Contains(err.Error(), "workers gone") {
+		t.Fatalf("fleet-death error = %v, want workers-gone", err)
+	}
+	if err := MergeShards(&bytes.Buffer{}, cfg, ShardedConfig{Shards: 3, Dir: dir}); err == nil ||
+		!strings.Contains(err.Error(), "incomplete run") {
+		t.Fatalf("merge of interrupted run: %v, want incomplete-run error", err)
+	}
+}
+
 func TestShardedRerunResumesInterruptedRun(t *testing.T) {
 	// One worker, one kill: the run dies with work outstanding. A rerun
-	// over the same directory resumes from the journals and the merge
-	// still matches the unsharded export.
+	// over the same directory resumes from the journals — the results
+	// journaled before the death are not recomputed — and the merge still
+	// matches the unsharded export.
 	cfg := microCfg(41)
 	single := exportBytes(t, runCfg(t, cfg))
 
 	shardedCfg := cfg
 	shardedCfg.Workers = 0
 	dir := t.TempDir()
-	sc := ShardedConfig{Shards: 3, Workers: 1, Dir: dir,
-		Faults: &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 2, TornBytes: 5}}}}
-	if _, err := RunSharded(shardedCfg, sc); err == nil {
-		t.Fatal("run with its only worker killed reported success")
-	}
-
-	// Merging a half-finished run must fail loudly, not emit partial data.
-	if err := MergeShards(&bytes.Buffer{}, shardedCfg, ShardedConfig{Shards: 3, Dir: dir}); err == nil ||
-		!strings.Contains(err.Error(), "incomplete run") {
-		t.Fatalf("merge of interrupted run: %v, want incomplete-run error", err)
-	}
+	interruptedRun(t, shardedCfg, dir)
 
 	rerun := ShardedConfig{Shards: 3, Workers: 1, Dir: dir}
-	stats, err := RunSharded(shardedCfg, rerun)
+	merged, stats := shardedExport(t, shardedCfg, rerun)
+	if stats.ResumedFrames != 2 {
+		t.Fatalf("rerun ResumedFrames = %d, want the 2 results journaled before the kill", stats.ResumedFrames)
+	}
+	if !bytes.Equal(merged, single) {
+		t.Fatal("resumed sharded merge diverges from single-process export")
+	}
+}
+
+func TestShardNetRerunResumesAfterFleetDeath(t *testing.T) {
+	// The fleet dies, and then the slice journal loses its tail mid-frame
+	// — the power cut the coordinator's whole-frame appends never cause
+	// themselves. The rerun must cut the torn frame off, resume from the
+	// valid prefix, and still merge byte-identically.
+	cfg := microCfg(43)
+	single := exportBytes(t, runCfg(t, cfg))
+
+	shardedCfg := cfg
+	shardedCfg.Workers = 0
+	dir := t.TempDir()
+	interruptedRun(t, shardedCfg, dir)
+	path := shardPath(dir, 0)
+	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ResumedFrames < 2 {
-		t.Fatalf("rerun ResumedFrames = %d, want >= 2", stats.ResumedFrames)
-	}
-	var buf bytes.Buffer
-	if err := MergeShards(&buf, shardedCfg, rerun); err != nil {
+	if err := os.Truncate(path, info.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), single) {
-		t.Fatal("resumed sharded merge diverges from single-process export")
+
+	rerun := ShardedConfig{Shards: 3, Workers: 1, Dir: dir}
+	merged, stats := shardedExport(t, shardedCfg, rerun)
+	if stats.ResumedFrames != 1 {
+		t.Fatalf("rerun ResumedFrames = %d, want the 1 frame before the torn one", stats.ResumedFrames)
+	}
+	if !bytes.Equal(merged, single) {
+		t.Fatal("merge after a torn-tail resume diverges from single-process export")
 	}
 }
 

@@ -1,34 +1,23 @@
 package core
 
-// shardnet.go lifts the sharded study over internal/shardnet's message
-// transport: the coordinator ships each worker the run's identity — the
-// journalMeta the slice journals already carry, i.e. the seed and
+// shardnet.go splits a sharded study across machines: ServeShards runs
+// the shardnet coordinator on a TCP listener, and ConnectShardWorker is
+// the worker half. The coordinator ships each worker the run's identity
+// — the journalMeta the slice journals already carry, i.e. the seed and
 // parameters, never data — and the worker rebuilds the world, the crypto
-// plane and its lab from that alone. A transported run therefore leaves
-// behind the same slice journals an in-process RunSharded leaves behind,
-// and MergeShards consumes them unchanged; the merged export is held
-// byte-identical to a single-process run by the chaos drills and the
-// public tests.
-//
-// Two entry points run the whole fleet in-process: RunShardedNet over the
-// deterministic simulated network (with the fault plan's network chaos
-// injected), RunShardedTCP over real loopback TCP. ServeShards and
-// ConnectShardWorker split coordinator and worker across processes — the
-// cross-machine recipe in the README.
+// plane and its lab from that alone. A cross-machine run therefore
+// leaves behind the same slice journals an in-process RunSharded leaves
+// behind, and MergeShards consumes them unchanged.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
-	"sync"
 	"time"
 
 	"pinscope/internal/appmodel"
 	"pinscope/internal/faultinject"
 	"pinscope/internal/pki"
-	"pinscope/internal/shardcoord"
 	"pinscope/internal/shardnet"
 	"pinscope/internal/worldgen"
 )
@@ -109,156 +98,6 @@ func benchFromRunConfig(raw []byte) (shardnet.Bench, error) {
 	return &shardBench{uni: uni, ranges: ranges, lab: lab}, nil
 }
 
-// netKillTap renders the plan's kill family as a shardnet worker KillTap:
-// the holder dies right before sending result AfterResults, so exactly
-// AfterResults frames of that epoch reach the coordinator intact. Fires
-// once per slice, like every faultinject member.
-func netKillTap(plan *faultinject.ShardPlan) func(slice, item int) (int, bool) {
-	if plan == nil || len(plan.Kills) == 0 {
-		return nil
-	}
-	var mu sync.Mutex
-	fired := map[int]bool{}
-	return func(slice, item int) (int, bool) {
-		k := plan.KillFor(slice)
-		if k == nil || k.AfterResults != item {
-			return 0, false
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if fired[slice] {
-			return 0, false
-		}
-		fired[slice] = true
-		return k.TornBytes, true
-	}
-}
-
-func toNetSlices(slices []shardcoord.Slice) []shardnet.Slice {
-	out := make([]shardnet.Slice, 0, len(slices))
-	for _, s := range slices {
-		out = append(out, shardnet.Slice{Path: s.Path, Meta: s.Meta, Items: s.Items})
-	}
-	return out
-}
-
-// NetShardStats reports a transported sharded run: the coordinator's
-// transport accounting plus the injected worker deaths that fired.
-type NetShardStats struct {
-	Net           shardnet.Stats
-	WorkersKilled int
-}
-
-// netRunSetup is the shared front half of every transported run.
-func netRunSetup(cfg *Config, sc ShardedConfig) ([]shardnet.Slice, []byte, error) {
-	if cfg.Window == 0 {
-		cfg.Window = 30
-	}
-	if sc.Shards <= 0 {
-		return nil, nil, errors.New("core: sharded run needs at least one shard")
-	}
-	if cfg.Journal != nil || cfg.Kill != nil {
-		return nil, nil, errors.New("core: sharded runs journal per slice; Config.Journal and Config.Kill must be nil")
-	}
-	if sc.Dir == "" {
-		return nil, nil, errors.New("core: sharded run needs a journal directory")
-	}
-	if err := os.MkdirAll(sc.Dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("core: shard dir: %w", err)
-	}
-	w, err := worldgen.Build(cfg.Params)
-	if err != nil {
-		return nil, nil, err
-	}
-	uni := shardUniverse(w)
-	slices, _, err := shardSlices(*cfg, sc, len(uni))
-	if err != nil {
-		return nil, nil, err
-	}
-	rc, err := encodeNetRunConfig(*cfg, sc.Shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toNetSlices(slices), rc, nil
-}
-
-// runNetFleet drives one coordinator plus an in-process worker fleet to
-// completion and folds their outcomes together. Worker errors are
-// expected noise when the run completed (a worker mid-reconnect when the
-// listener closes gives up harmlessly); when the coordinator failed they
-// are joined in for diagnosis.
-func runNetFleet(coord *shardnet.Coordinator, workers int,
-	runWorker func(i int) error) (*NetShardStats, error) {
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = runWorker(i)
-		}(i)
-	}
-	stats, err := coord.Run()
-	wg.Wait()
-	out := &NetShardStats{}
-	if stats != nil {
-		out.Net = *stats
-	}
-	var werrs []error
-	for _, e := range errs {
-		if errors.Is(e, shardnet.ErrWorkerKilled) {
-			out.WorkersKilled++
-		} else if e != nil && err != nil {
-			werrs = append(werrs, e)
-		}
-	}
-	if err != nil {
-		return out, errors.Join(append([]error{err}, werrs...)...)
-	}
-	return out, nil
-}
-
-// RunShardedNet executes the study as a transported sharded run over the
-// deterministic simulated network: same slices, same journals, same merge
-// as RunSharded, with the coordinator and workers talking shardnet frames
-// under the fault plan's network chaos (sc.Faults.Net), worker kills
-// rendered as mid-stream connection deaths, and lease expiries covered by
-// the network faults themselves (a partition is heartbeat silence).
-func RunShardedNet(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
-	slices, rc, err := netRunSetup(&cfg, sc)
-	if err != nil {
-		return nil, err
-	}
-	net := shardnet.NewSimNet(sc.Faults.NetFaults())
-	coord, err := shardnet.NewCoordinator(shardnet.Config{
-		Listener:        net.Listener(),
-		Clock:           net,
-		Slices:          slices,
-		RunConfig:       rc,
-		LeaseTTL:        sc.LeaseTTL,
-		BackoffSeed:     cfg.Params.Seed,
-		FailWhenDrained: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	workers := sc.Workers
-	if workers <= 0 {
-		workers = sc.Shards
-	}
-	kill := netKillTap(sc.Faults)
-	return runNetFleet(coord, workers, func(i int) error {
-		return shardnet.RunWorker(net.Dialer(), shardnet.WorkerOptions{
-			Clock:       net,
-			NewBench:    benchFromRunConfig,
-			Reconnects:  16,
-			BackoffSeed: cfg.Params.Seed,
-			Scope:       "sim/" + strconv.Itoa(i),
-			KillTap:     kill,
-		})
-	})
-}
-
 // TCP-side timing: wall-clock analogues of the simulated network's
 // tick-denominated lease TTL, generous enough for loopback and LAN.
 const (
@@ -266,51 +105,35 @@ const (
 	tcpIdleTimeout = 500 * time.Millisecond
 )
 
-// RunShardedTCP is RunShardedNet over real loopback TCP: the coordinator
-// listens on 127.0.0.1, the worker fleet dials it, and every frame
-// crosses an actual socket. Network chaos is not injected — the wire is
-// real — but injected worker kills still fire, leaving torn wire frames
-// the receiver's framing must reject.
-func RunShardedTCP(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
-	slices, rc, err := netRunSetup(&cfg, sc)
+// listenShards is the coordinator setup of a cross-machine run: it
+// validates the run, builds its slices, listens on addr and ships every
+// worker the run config. It returns the listener's address.
+func listenShards(cfg Config, sc ShardedConfig, addr string) (*shardnet.Coordinator, string, error) {
+	r, err := newShardRun(cfg, sc)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	ln, err := shardnet.ListenTCP("127.0.0.1:0", shardnet.TCPOptions{})
+	rc, err := encodeNetRunConfig(r.cfg, sc.Shards)
 	if err != nil {
-		return nil, err
+		return nil, "", err
+	}
+	ln, err := shardnet.ListenTCP(addr, shardnet.TCPOptions{})
+	if err != nil {
+		return nil, "", err
 	}
 	coord, err := shardnet.NewCoordinator(shardnet.Config{
-		Listener:        ln,
-		Clock:           shardnet.WallClock(),
-		Slices:          slices,
-		RunConfig:       rc,
-		LeaseTTL:        int64(tcpLeaseTTL),
-		BackoffSeed:     cfg.Params.Seed,
-		FailWhenDrained: true,
+		Listener:    ln,
+		Clock:       shardnet.WallClock(),
+		Slices:      r.slices,
+		RunConfig:   rc,
+		LeaseTTL:    int64(tcpLeaseTTL),
+		BackoffSeed: r.cfg.Params.Seed,
 	})
 	if err != nil {
 		ln.Close()
-		return nil, err
+		return nil, "", err
 	}
-	workers := sc.Workers
-	if workers <= 0 {
-		workers = sc.Shards
-	}
-	kill := netKillTap(sc.Faults)
-	addr := ln.Addr()
-	return runNetFleet(coord, workers, func(i int) error {
-		return shardnet.RunWorker(shardnet.TCPDialer{Addr: addr}, shardnet.WorkerOptions{
-			Clock:       shardnet.WallClock(),
-			NewBench:    benchFromRunConfig,
-			IdleTimeout: int64(tcpIdleTimeout),
-			Reconnects:  16,
-			BackoffSeed: cfg.Params.Seed,
-			BackoffBase: int64(50 * time.Millisecond),
-			Scope:       "tcp/" + strconv.Itoa(i),
-			KillTap:     kill,
-		})
-	})
+	return coord, ln.Addr(), nil
 }
 
 // ServeShards runs the coordinator half of a cross-machine sharded study:
@@ -320,33 +143,25 @@ func RunShardedTCP(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
 // connected, so workers may be started after — or restarted during — the
 // run; an interrupted serve resumes from the journals like any sharded
 // run.
-func ServeShards(cfg Config, sc ShardedConfig, addr string) (*NetShardStats, error) {
-	slices, rc, err := netRunSetup(&cfg, sc)
+func ServeShards(cfg Config, sc ShardedConfig, addr string) (*ShardStats, error) {
+	coord, _, err := listenShards(cfg, sc, addr)
 	if err != nil {
-		return nil, err
-	}
-	ln, err := shardnet.ListenTCP(addr, shardnet.TCPOptions{})
-	if err != nil {
-		return nil, err
-	}
-	coord, err := shardnet.NewCoordinator(shardnet.Config{
-		Listener:    ln,
-		Clock:       shardnet.WallClock(),
-		Slices:      slices,
-		RunConfig:   rc,
-		LeaseTTL:    int64(tcpLeaseTTL),
-		BackoffSeed: cfg.Params.Seed,
-	})
-	if err != nil {
-		ln.Close()
 		return nil, err
 	}
 	stats, err := coord.Run()
-	out := &NetShardStats{}
-	if stats != nil {
-		out.Net = *stats
+	return fleetStats(stats, nil), err
+}
+
+// tcpWorkerOptions are a cross-machine worker's options.
+func tcpWorkerOptions(scope string) shardnet.WorkerOptions {
+	return shardnet.WorkerOptions{
+		Clock:       shardnet.WallClock(),
+		NewBench:    benchFromRunConfig,
+		IdleTimeout: int64(tcpIdleTimeout),
+		Reconnects:  60,
+		BackoffBase: int64(250 * time.Millisecond),
+		Scope:       "cli/" + scope,
 	}
-	return out, err
 }
 
 // ConnectShardWorker runs the worker half of a cross-machine sharded
@@ -354,38 +169,5 @@ func ServeShards(cfg Config, sc ShardedConfig, addr string) (*NetShardStats, err
 // run config it is handed, and works granted slices until the coordinator
 // reports the run done.
 func ConnectShardWorker(addr string, scope string) error {
-	return shardnet.RunWorker(shardnet.TCPDialer{Addr: addr}, shardnet.WorkerOptions{
-		Clock:       shardnet.WallClock(),
-		NewBench:    benchFromRunConfig,
-		IdleTimeout: int64(tcpIdleTimeout),
-		Reconnects:  60,
-		BackoffBase: int64(250 * time.Millisecond),
-		Scope:       "cli/" + scope,
-	})
-}
-
-// DeriveNetPlan derives the seeded fault plan for a transported sharded
-// run of cfg cut into sc.Shards slices — worker kills, lease expiries,
-// and the network fault family (delays, drops, duplicate delivery,
-// partitions), capped so at least one shard always progresses on a
-// never-severed link. Rate 0 yields nil. The same (config, shape, rate)
-// always derives the same plan.
-func DeriveNetPlan(cfg Config, sc ShardedConfig, rate float64) (*faultinject.ShardPlan, error) {
-	if sc.Shards <= 0 {
-		return nil, errors.New("core: sharded run needs at least one shard")
-	}
-	w, err := worldgen.Build(cfg.Params)
-	if err != nil {
-		return nil, err
-	}
-	workers := sc.Workers
-	if workers <= 0 {
-		workers = sc.Shards
-	}
-	ranges := sliceRanges(len(shardUniverse(w)), sc.Shards)
-	items := make([]int, len(ranges))
-	for i, rg := range ranges {
-		items[i] = rg[1]
-	}
-	return faultinject.DeriveShardPlan(cfg.Params.Seed, rate, workers, items), nil
+	return shardnet.RunWorker(shardnet.TCPDialer{Addr: addr}, tcpWorkerOptions(scope))
 }

@@ -2,170 +2,48 @@ package core
 
 import (
 	"bytes"
-	"strings"
+	"strconv"
 	"testing"
 
 	"pinscope/internal/faultinject"
-	"pinscope/internal/worldgen"
+	"pinscope/internal/shardnet"
 )
 
-// netShardedExport runs cfg as a transported sharded run over the
-// simulated network and merges the journals — the transport analogue of
-// shardedExport.
-func netShardedExport(t *testing.T, cfg Config, sc ShardedConfig) ([]byte, *NetShardStats) {
-	t.Helper()
-	stats, err := RunShardedNet(cfg, sc)
-	if err != nil {
-		t.Fatalf("transported sharded run: %v (stats %+v)", err, stats)
-	}
-	var buf bytes.Buffer
-	if err := MergeShards(&buf, cfg, sc); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), stats
-}
-
-func TestShardNetSimMergesByteIdentical(t *testing.T) {
-	// The tentpole acceptance shape: a transported sharded run under a
-	// seeded sweep of every network fault kind — a delayed frame, a
-	// dropped frame (severed conn), duplicate delivery, a partition long
-	// enough to expire a lease, plus a mid-stream worker death — must
-	// merge into the exact bytes an unsharded same-seed run exports.
-	cfg := microCfg(29)
-	single := exportBytes(t, runCfg(t, cfg))
-
-	shardedCfg := cfg
-	shardedCfg.Workers = 0 // transported runs own their worker fleet
-	sc := ShardedConfig{
-		Shards:  4,
-		Workers: 3,
-		Dir:     t.TempDir(),
-		Faults: &faultinject.ShardPlan{
-			Kills: []faultinject.ShardKill{{Slice: 2, AfterResults: 1, TornBytes: 7}},
-			Net: &faultinject.NetChaos{
-				Delays:     []faultinject.NetDelay{{Slice: 0, Item: 1, Ticks: faultinject.NetTTL / 2}},
-				Drops:      []faultinject.NetDrop{{Slice: 1, Item: 1}},
-				Dups:       []faultinject.NetDup{{Slice: 2, Item: 0}},
-				Partitions: []faultinject.NetPartition{{Slice: 3, AfterItem: 0, Ticks: 3 * faultinject.NetTTL / 2}},
-			},
-		},
-	}
-	merged, stats := netShardedExport(t, shardedCfg, sc)
-	if !bytes.Equal(merged, single) {
-		t.Fatalf("transported sharded merge diverges from single-process export (%d vs %d bytes)",
-			len(merged), len(single))
-	}
-
-	// The faults must actually have fired, or the equivalence proved
-	// nothing.
-	if stats.WorkersKilled != 1 {
-		t.Fatalf("WorkersKilled = %d, want 1", stats.WorkersKilled)
-	}
-	if stats.Net.Duplicates < 1 {
-		t.Fatalf("Duplicates = %d, want >= 1 (injected duplicate never arrived twice)", stats.Net.Duplicates)
-	}
-	if stats.Net.ConnDrops < 2 { // the dropped frame severs one conn, the kill another
-		t.Fatalf("ConnDrops = %d, want >= 2", stats.Net.ConnDrops)
-	}
-	if stats.Net.Expired < 1 { // the partition must outlive a lease TTL
-		t.Fatalf("Expired = %d, want >= 1 (partition never expired a lease)", stats.Net.Expired)
-	}
-	if stats.Net.Reassigned < 1 {
-		t.Fatalf("Reassigned = %d, want >= 1", stats.Net.Reassigned)
-	}
-}
-
 func TestShardNetTCPMergesByteIdentical(t *testing.T) {
-	// Same equivalence over real loopback TCP: every frame crosses a
-	// socket, a killed worker leaves a torn wire frame the receiver's
-	// framing must reject, and the merge still matches the single-process
-	// bytes.
+	// The cross-machine path over real loopback TCP: the coordinator
+	// ServeShards runs, workers that rebuild their bench from the shipped
+	// run config, every frame crossing a socket, and a killed worker
+	// leaving a torn wire frame the receiver's framing must reject. The
+	// merge still matches the single-process bytes.
 	cfg := microCfg(71)
 	single := exportBytes(t, runCfg(t, cfg))
 
 	shardedCfg := cfg
 	shardedCfg.Workers = 0
-	sc := ShardedConfig{
-		Shards:  2,
-		Workers: 2,
-		Dir:     t.TempDir(),
-		Faults: &faultinject.ShardPlan{
-			Kills: []faultinject.ShardKill{{Slice: 1, AfterResults: 1, TornBytes: 5}},
-		},
-	}
-	merged, stats := netShardedExport(t, shardedCfg, sc)
-	if !bytes.Equal(merged, single) {
-		t.Fatalf("TCP sharded merge diverges from single-process export (%d vs %d bytes)",
-			len(merged), len(single))
-	}
-	if stats.WorkersKilled != 1 {
-		t.Fatalf("WorkersKilled = %d, want 1", stats.WorkersKilled)
-	}
-	if stats.Net.Slices != 2 || stats.Net.Granted < 2 {
-		t.Fatalf("stats %+v: want 2 slices and >= 2 grants", stats.Net)
-	}
-}
-
-func TestShardNetRerunResumesAfterFleetDeath(t *testing.T) {
-	// One worker, one kill: the whole fleet dies with work outstanding
-	// and the coordinator must fail loudly rather than wait forever. A
-	// rerun over the same directory resumes from the journals — the
-	// frames admitted before the death are never recomputed — and the
-	// merge still matches the unsharded export.
-	cfg := microCfg(41)
-	single := exportBytes(t, runCfg(t, cfg))
-
-	shardedCfg := cfg
-	shardedCfg.Workers = 0
-	dir := t.TempDir()
-	sc := ShardedConfig{Shards: 3, Workers: 1, Dir: dir,
-		Faults: &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 2}}}}
-	if _, err := RunShardedNet(shardedCfg, sc); err == nil {
-		t.Fatal("run with its only worker killed reported success")
-	} else if !strings.Contains(err.Error(), "all workers disconnected") {
-		t.Fatalf("fleet-death error = %v, want all-workers-disconnected", err)
-	}
-
-	// Merging a half-finished run must fail loudly, not emit partial data.
-	if err := MergeShards(&bytes.Buffer{}, shardedCfg, ShardedConfig{Shards: 3, Dir: dir}); err == nil ||
-		!strings.Contains(err.Error(), "incomplete run") {
-		t.Fatalf("merge of interrupted run: %v, want incomplete-run error", err)
-	}
-
-	rerun := ShardedConfig{Shards: 3, Workers: 1, Dir: dir}
-	merged, stats := netShardedExport(t, shardedCfg, rerun)
-	if stats.Net.ResumedFrames < 2 {
-		t.Fatalf("rerun ResumedFrames = %d, want >= 2", stats.Net.ResumedFrames)
-	}
-	if !bytes.Equal(merged, single) {
-		t.Fatal("resumed transported merge diverges from single-process export")
-	}
-}
-
-func TestShardNetDerivedPlanMergesByteIdentical(t *testing.T) {
-	// Same equivalence under the derived (seeded) fault plan with its
-	// network family — the path the chaos sweep's network drill exercises.
-	cfg := microCfg(57)
-	single := exportBytes(t, runCfg(t, cfg))
-
-	shardedCfg := cfg
-	shardedCfg.Workers = 0
-	w, err := worldgen.Build(cfg.Params)
+	plan := &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 1, AfterResults: 1, TornBytes: 5}}}
+	sc := ShardedConfig{Shards: 2, Dir: t.TempDir()}
+	coord, addr, err := listenShards(shardedCfg, sc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges := sliceRanges(len(shardUniverse(w)), 4)
-	items := make([]int, len(ranges))
-	for i, rg := range ranges {
-		items[i] = rg[1]
+	faults := shardnet.PlanFaults(plan, int64(tcpLeaseTTL))
+	stats, errs, err := shardnet.RunFleet(coord, 2, func(i int) error {
+		opt := tcpWorkerOptions("test/" + strconv.Itoa(i))
+		opt.FaultTap = faults
+		return shardnet.RunWorker(shardnet.TCPDialer{Addr: addr}, opt)
+	})
+	if err != nil {
+		t.Fatalf("TCP sharded run: %v (stats %+v)", err, stats)
 	}
-	plan := faultinject.DeriveShardPlan(cfg.Params.Seed, 1.0, 4, items)
-	if plan == nil || !plan.Net.Any() {
-		t.Fatalf("derived plan injected no network chaos: %+v", plan)
+	var buf bytes.Buffer
+	if err := MergeShards(&buf, shardedCfg, sc); err != nil {
+		t.Fatal(err)
 	}
-	sc := ShardedConfig{Shards: 4, Workers: 4, Dir: t.TempDir(), Faults: plan}
-	merged, _ := netShardedExport(t, shardedCfg, sc)
-	if !bytes.Equal(merged, single) {
-		t.Fatalf("derived-plan transported merge diverges (%d vs %d bytes)", len(merged), len(single))
+	if !bytes.Equal(buf.Bytes(), single) {
+		t.Fatalf("TCP sharded merge diverges from single-process export (%d vs %d bytes)",
+			buf.Len(), len(single))
+	}
+	if got := fleetStats(stats, errs); got.WorkersKilled != 1 || got.Slices != 2 || got.Granted < 3 {
+		t.Fatalf("stats %+v: want 1 worker killed, 2 slices, and the killed slice granted again", got)
 	}
 }

@@ -708,12 +708,13 @@ func (l *lab) studyApp(app *appmodel.App, common bool, af *faultinject.AppFaults
 	}()
 
 	// --- static (§4.1): decrypt iOS packages on the jailbroken device.
+	// The world's app is shared, so the analysis reads a decrypted copy.
 	if app.Pkg != nil && app.Pkg.Encrypted && af.DecryptFails() {
 		res.StaticErr = faultinject.ErrTransient("decryption", app.ID)
-	} else if err := l.mitm[plat].DecryptApp(app); err != nil {
+	} else if dec, err := l.mitm[plat].Decrypt(app); err != nil {
 		res.StaticErr = err
 	} else {
-		rep, err := staticanalysis.Analyze(app)
+		rep, err := staticanalysis.Analyze(dec)
 		if err != nil {
 			res.StaticErr = err
 		} else {

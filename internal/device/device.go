@@ -83,17 +83,34 @@ func (d *Device) UseStores(user, system *pki.RootStore) {
 // it automatically (see memo.go for the contract).
 func (d *Device) UseHandshakeMemo(m *HandshakeMemo) { d.memo = m }
 
-// DecryptApp returns the decrypted package of an iOS app, as Flexdecrypt or
-// Frida-iOS-Dump would. It fails off-jailbreak, which is what limited the
+// Decrypt returns a copy of an iOS app whose package is decrypted, as
+// Flexdecrypt or Frida-iOS-Dump would dump it. The input app and its
+// package are never written: a world's apps are shared by every worker
+// and every attempt, so decrypting one must not change what another
+// holder reads. An app without a package or already in the clear is
+// returned as is. It fails off-jailbreak, which is what limited the
 // paper's iOS dataset size (Appendix A).
-func (d *Device) DecryptApp(app *appmodel.App) error {
+func (d *Device) Decrypt(app *appmodel.App) (*appmodel.App, error) {
 	if app.Pkg == nil || !app.Pkg.Encrypted {
-		return nil
+		return app, nil
 	}
 	if !d.Jailbroken {
-		return fmt.Errorf("device: cannot decrypt %s without a jailbreak", app.ID)
+		return nil, fmt.Errorf("device: cannot decrypt %s without a jailbreak", app.ID)
 	}
-	app.Pkg.DecryptIOS()
+	dec := *app
+	dec.Pkg = app.Pkg.Clone()
+	dec.Pkg.DecryptIOS()
+	return &dec, nil
+}
+
+// DecryptApp decrypts an app the caller owns: it points app.Pkg at the
+// decrypted copy Decrypt makes. The package it replaces is not written.
+func (d *Device) DecryptApp(app *appmodel.App) error {
+	dec, err := d.Decrypt(app)
+	if err != nil {
+		return err
+	}
+	app.Pkg = dec.Pkg
 	return nil
 }
 

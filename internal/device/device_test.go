@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -268,6 +269,54 @@ func TestDecryptAppRequiresJailbreak(t *testing.T) {
 		t.Fatal("decrypt succeeded without jailbreak")
 	}
 	_ = app
+}
+
+// pkgImage snapshots every byte a reader of the package can observe.
+func pkgImage(p *apppkg.Package) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "encrypted=%v\n", p.Encrypted)
+	for _, f := range p.Files() {
+		fmt.Fprintf(&b, "%s exec=%v %x\n", f.Path, f.Executable, f.Data)
+	}
+	return b.String()
+}
+
+func TestDecryptLeavesInputPackageUnchanged(t *testing.T) {
+	// A world's apps are read concurrently by every worker and attempt:
+	// decryption must hand back a copy and never write the shared app or
+	// its package.
+	w := newTestWorld(t)
+	d := New(appmodel.IOS, w.net, w.deviceRS, detrand.New(19))
+	pkg := newEncryptedPkg()
+	pkg.Add("Info.plist", []byte("<plist/>"))
+	app := &appmodel.App{ID: "com.enc.app", Pkg: pkg}
+	before := pkgImage(pkg)
+
+	dec, err := d.Decrypt(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec == app || dec.Pkg == pkg {
+		t.Fatal("Decrypt returned the input instead of a copy")
+	}
+	if dec.Pkg.Encrypted || !strings.Contains(pkgImage(dec.Pkg), fmt.Sprintf("bin exec=true %x", "secret")) {
+		t.Fatalf("copy not decrypted: %s", pkgImage(dec.Pkg))
+	}
+	if app.Pkg != pkg || pkgImage(pkg) != before {
+		t.Fatal("Decrypt wrote the input app or its package")
+	}
+
+	// DecryptApp swaps the copy into an app the caller owns; the package
+	// it replaces is still never written.
+	if err := d.DecryptApp(app); err != nil {
+		t.Fatal(err)
+	}
+	if app.Pkg == pkg || app.Pkg.Encrypted {
+		t.Fatal("DecryptApp did not install a decrypted package")
+	}
+	if pkgImage(pkg) != before {
+		t.Fatal("DecryptApp wrote its input package")
+	}
 }
 
 func newEncryptedPkg() *apppkg.Package {

@@ -272,49 +272,46 @@ func (k *ProcessKill) Tap() func(i int) (tornBytes int, kill bool) {
 	}
 }
 
-// ShardKill is the shard-death member of the power-cut family: it kills
-// the worker holding one slice of a sharded run, by interrupting the
-// append of result frame AfterResults (0-based, counted within that
-// slice's journal) and leaving TornBytes of it on disk. The cut fires on
-// the slice journal's append path via the same CrashTap machinery as
-// ProcessKill, so it is a pure function of the frame index — independent
-// of which worker holds the lease or how the scheduler interleaved them.
-// The coordinator then expires the dead worker's lease and a survivor
-// resumes the slice from its journal.
+// ShardKill is the shard-death member of the fault family: it kills the
+// worker holding one slice of a sharded run right before that worker
+// sends result frame AfterResults (0-based, counted within the slice), so
+// exactly AfterResults frames of its lease reach the coordinator intact.
+// The point is a function of the slice and frame index alone,
+// independent of which worker holds the lease or how the scheduler
+// interleaved them. The coordinator sees the dead connection, releases
+// the lease at once, and a survivor resumes the slice at the journal
+// cursor. The coordinator is the only writer of slice journals and writes
+// whole frames, so a kill never tears a journal; over TCP the dying
+// worker writes TornBytes of the interrupted frame to the wire, which the
+// receiver's framing must reject.
 type ShardKill struct {
 	// Slice is the 0-based slice whose holder dies.
 	Slice int
-	// AfterResults is how many result frames reach the slice journal
-	// intact before the cut.
+	// AfterResults is how many result frames of the slice reach the
+	// coordinator before the death.
 	AfterResults int
-	// TornBytes is how many bytes of the interrupted frame remain on disk.
+	// TornBytes is how many bytes of the interrupted frame the dying
+	// worker writes to a TCP connection before it closes.
 	TornBytes int
 }
 
-// Tap returns the slice journal's crash tap. Nil receiver yields nil.
-func (k *ShardKill) Tap() func(i int) (tornBytes int, kill bool) {
-	if k == nil {
-		return nil
-	}
-	return (&ProcessKill{AfterResults: k.AfterResults, TornBytes: k.TornBytes}).Tap()
-}
-
 // LeaseExpiry induces a lease expiry without killing anyone: the worker
-// holding Slice stalls after appending AfterResults result frames, for
-// StallTicks of the coordinator's logical clock — past the lease TTL, so
-// the slice is reassigned while the original holder is still alive. When
-// the stalled worker wakes and tries to append again, the coordinator's
-// epoch fence must turn it away. This is the split-brain drill: two live
-// workers believing they own one slice.
+// holding Slice, after sending AfterResults result frames, goes silent —
+// no heartbeats, no results — for one lease TTL plus one tick of the
+// transport clock, so the lease expires while the holder is still alive
+// and the slice is reassigned. The holder then knows it has been silent
+// past its TTL, gives the slice up and asks for new work, rather than
+// recomputing the slice as a zombie; any frame it did send under the
+// dead lease would be refused by the coordinator's epoch fence. This is
+// the split-brain drill: two live workers that were each granted one
+// slice.
 type LeaseExpiry struct {
 	// Slice is the 0-based slice whose lease is made to expire.
 	Slice int
-	// AfterResults is how many result frames the holder appends before
-	// stalling.
+	// AfterResults is how many result frames the holder sends before
+	// stalling. A stall at the slice's item count never fires: the
+	// holder has no item left to stall before.
 	AfterResults int
-	// StallTicks is how long the stall lasts on the logical clock;
-	// 0 means "lease TTL + 1", guaranteeing expiry whatever the TTL.
-	StallTicks int64
 }
 
 // NetTTL is the lease TTL, in logical network ticks, that the simulated
@@ -365,8 +362,8 @@ type NetPartition struct {
 	Ticks     int64
 }
 
-// NetChaos groups the network fault family for one transported sharded
-// run. A nil chaos injects nothing; all accessors are nil-safe. At most
+// NetChaos groups the network fault family for one sharded run on the
+// simulated transport. A nil chaos injects nothing; all accessors are nil-safe. At most
 // one fault of each kind applies per slice and each fires once.
 type NetChaos struct {
 	Delays     []NetDelay
@@ -445,12 +442,13 @@ func (n *NetChaos) PartitionFor(slice, item int) (int64, bool) {
 	return 0, false
 }
 
-// ShardPlan groups the shard-death fault family for one sharded run. A
-// nil plan injects nothing. At most one kill and one expiry apply per
-// slice: like ProcessKill, each fires once — the takeover run of the same
-// slice does not re-die, mirroring a machine that crashed and was
-// replaced. Net carries the network fault family for transported runs
-// (internal/shardnet); the in-process coordinator ignores it.
+// ShardPlan groups the shard fault family for one sharded run. A nil
+// plan injects nothing. At most one kill and one expiry apply per slice:
+// like ProcessKill, each fires once — the takeover run of the same slice
+// does not re-die, mirroring a machine that crashed and was replaced.
+// Kills and Expiries act on the workers; Net carries the network fault
+// family, which the simulated transport of an in-process sharded run
+// injects (internal/shardnet). A real TCP wire is not simulated.
 type ShardPlan struct {
 	Kills    []ShardKill
 	Expiries []LeaseExpiry
@@ -538,9 +536,9 @@ func DeriveShardPlan(seed int64, rate float64, workers int, sliceItems []int) *S
 		}
 		if !killed && items >= 2 && rng.Bool(rate) {
 			// The stall point stays strictly inside the leased region:
-			// [1, items-1]. A stall after the final append would sit
-			// between the work and the lease release, which the
-			// coordinator no longer honors (see shardcoord.maybeStall).
+			// [1, items-1]. A stall after the final result would sit
+			// between the work and the lease release, where no worker
+			// honors it (see shardnet.PlanFaults).
 			p.Expiries = append(p.Expiries, LeaseExpiry{
 				Slice:        slice,
 				AfterResults: 1 + rng.Intn(items-1),

@@ -156,24 +156,6 @@ func TestShardPlanLookupsNilSafe(t *testing.T) {
 	}
 }
 
-func TestShardKillTapFiresAtFrame(t *testing.T) {
-	var nilKill *ShardKill
-	if nilKill.Tap() != nil {
-		t.Fatal("nil ShardKill produced a tap")
-	}
-	tap := (&ShardKill{Slice: 0, AfterResults: 2, TornBytes: 7}).Tap()
-	if _, kill := tap(0); kill {
-		t.Fatal("tap fired before its frame")
-	}
-	if _, kill := tap(1); kill {
-		t.Fatal("tap fired before its frame")
-	}
-	torn, kill := tap(2)
-	if !kill || torn != 7 {
-		t.Fatalf("tap(2) = (%d, %v), want (7, true)", torn, kill)
-	}
-}
-
 func TestDeriveShardPlanDeterministicAndCapped(t *testing.T) {
 	items := []int{10, 10, 10, 10, 10, 10, 10, 10}
 	a := DeriveShardPlan(77, 0.9, 4, items)

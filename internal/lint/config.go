@@ -140,7 +140,6 @@ func DefaultConfig() *Config {
 			"pinscope/internal/report",
 			"pinscope/internal/rootprogram",
 			"pinscope/internal/sdkregistry",
-			"pinscope/internal/shardcoord",
 			"pinscope/internal/staticanalysis",
 			"pinscope/internal/stats",
 			"pinscope/internal/tlswire",
@@ -204,7 +203,6 @@ func DefaultConfig() *Config {
 		JournalWriterPackages: []string{
 			"pinscope/internal/journal",
 			"pinscope/internal/core",
-			"pinscope/internal/shardcoord",
 			"pinscope/internal/shardnet",
 		},
 		JournalImplPackage:  "pinscope/internal/journal",

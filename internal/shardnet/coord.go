@@ -1,17 +1,17 @@
 package shardnet
 
-// coord.go is the transported lease coordinator. Unlike shardcoord — in
-// which workers are goroutines sharing the lease table under a mutex —
-// here the coordinator is a single event loop owning all lease and WAL
-// state, fed by per-connection receive pumps, an accept loop, and an
-// alarm goroutine that turns lease deadlines into tick events. Workers
-// are on the far side of a Conn and only ever speak frames.
+// coord.go is the lease coordinator. It is a single event loop owning
+// all lease and WAL state, fed by per-connection receive pumps, an
+// accept loop, and an alarm goroutine that turns lease deadlines into
+// tick events. Workers are on the far side of a Conn and only ever speak
+// frames, whether they run in the same process over the simulated
+// network or on other machines over TCP.
 //
-// The division of labor keeps the merge unchanged: the coordinator owns
-// every slice WAL and appends only fence-admitted, in-order frames to
-// it, so the journals a transported run leaves behind are exactly the
-// journals an in-process run leaves behind. Everything hostile the
-// network does is absorbed before the WAL's front door:
+// The coordinator is the only writer of every slice WAL and appends only
+// fence-admitted, in-order frames to it, so the journals a run leaves
+// behind do not depend on the transport, and the merge reads them the
+// same way. Everything hostile the network does is absorbed before the
+// WAL's front door:
 //
 //   - zombie epochs: every Result/Heartbeat carries its lease epoch; a
 //     frame from a superseded epoch is counted, fenced, and answered
@@ -20,9 +20,10 @@ package shardnet
 //     already durable and is discarded (idempotence).
 //   - reordering: a result ahead of the cursor waits in a bounded
 //     buffer until the gap fills; appends stay sequential.
-//   - heartbeat silence (death or partition): the lease deadline
-//     expires, the lease is released and re-granted at the journal
-//     cursor — takeover-with-resume, no recomputation of durable work.
+//   - heartbeat silence (a stalled holder or a partition): the lease
+//     deadline expires, the lease is released and re-granted at the
+//     journal cursor — takeover-with-resume, no recomputation of durable
+//     work. A dead connection releases its lease the same way at once.
 //   - send failures: every coordinator→worker frame is retried under
 //     deterministically jittered exponential backoff; exhausting the
 //     retries declares the connection dead.
@@ -38,25 +39,30 @@ import (
 	"pinscope/internal/journal"
 )
 
-// Slice is one contiguous partition of the universe, same contract as
-// shardcoord.Slice: the WAL at Path must carry exactly Meta and Items
-// result frames when the run completes.
+// Slice is one contiguous partition of the universe. The WAL at Path
+// must carry exactly Meta and Items result frames when the run
+// completes; on resume (a takeover, or a rerun over a previous run's
+// journal) the on-disk meta must match byte for byte, proving the
+// journal belongs to this exact run and slice.
 type Slice struct {
 	Path  string
 	Meta  []byte
 	Items int
 }
 
-// Stats summarizes a transported run. Like shardcoord.Stats, the
-// scheduling-dependent counters vary run to run and are asserted as
-// inequalities; byte exactness lives in the journals.
+// Stats summarizes a run. Over the simulated network without chaos,
+// workers step in lockstep with the clock and the counters repeat across
+// reruns of the same slices and worker faults (a fleet pins the clock
+// until every worker has dialed, see SimNet.ExpectDials). Under network
+// chaos or over TCP the counters depend on scheduling and are asserted
+// as inequalities. Byte exactness lives in the journals.
 type Stats struct {
 	Workers       int // connections welcomed (reconnects count again)
 	Slices        int
 	Granted       int // leases granted
 	Expired       int // leases released for heartbeat silence
 	Reassigned    int // grants for a slice with a prior holder
-	ResumedFrames int // frames found durable at first grant (prior run or takeover)
+	ResumedFrames int // durable frames a takeover by another connection, or a rerun, did not recompute
 	Fenced        int // zombie-epoch frames refused by the fence
 	Duplicates    int // duplicate-delivery results discarded as already journaled
 	Reordered     int // results buffered ahead of the slice cursor
@@ -84,11 +90,6 @@ type Config struct {
 	// BackoffBase is in clock units (0 = LeaseTTL/8).
 	BackoffSeed int64
 	BackoffBase int64
-	// FailWhenDrained makes the coordinator fail — instead of waiting for
-	// new connections — when every worker is gone with work remaining.
-	// In-process runs with a fixed worker fleet set it; a cross-machine
-	// coordinator leaves it off so the operator can start more workers.
-	FailWhenDrained bool
 }
 
 // DefaultSimTTL is the default lease TTL in simulated-network ticks,
@@ -114,8 +115,13 @@ type coordSlice struct {
 	leased     bool
 	epoch      int64
 	holder     *coordConn
-	deadline   int64
+	last       *coordConn // the most recent grantee, kept after release
+	deadline   int64      // lease deadline, or the end of claimant's claim
 	everLeased bool
+	// claimant is a fenced holder with first claim on the slice it lost:
+	// set when its lease expired, it was still connected, and no idle
+	// worker took the slice over on that tick.
+	claimant *coordConn
 }
 
 type coordConn struct {
@@ -141,14 +147,14 @@ type coordEvent struct {
 	frame   *Frame
 	err     error
 	tick    bool
-	abort   error
+	drain   bool
 	// release drops the clock hold taken when the event entered the
 	// inbox; the event loop calls it once the reaction (including any
 	// outbox enqueues, which take their own holds) is complete.
 	release func()
 }
 
-// Coordinator runs one transported sharded run to completion.
+// Coordinator runs one sharded run to completion.
 type Coordinator struct {
 	cfg     Config
 	ttl     int64
@@ -159,13 +165,13 @@ type Coordinator struct {
 	quit       chan struct{}
 	quitOnce   sync.Once
 	acceptDone chan struct{}
-	alarmCh    chan int64
+	alarmCh    chan alarm
 
 	slices    []*coordSlice
 	conns     map[*coordConn]bool
 	nextConn  int
-	everConn  bool
 	doneCount int
+	drained   bool // set by Drain: fail once no worker is connected
 	armed     bool
 	stats     Stats
 	fatal     []error
@@ -209,7 +215,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		inbox:      make(chan coordEvent, 64),
 		quit:       make(chan struct{}),
 		acceptDone: make(chan struct{}),
-		alarmCh:    make(chan int64, 1),
+		alarmCh:    make(chan alarm, 1),
 		conns:      map[*coordConn]bool{},
 	}
 	for i, s := range cfg.Slices {
@@ -219,11 +225,15 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Abort asks a running coordinator to stop with err. Idempotent and safe
-// after completion; the journals written so far survive, and a rerun
-// resumes from them.
-func (c *Coordinator) Abort(err error) {
-	c.post(coordEvent{abort: err})
+// Drain tells a running coordinator that no further worker will dial:
+// once every connected worker is gone, it stops, failing if slices are
+// left. Frames a departed worker sent before it went are journaled
+// first. The coordinator never decides this on its own — more
+// workers may dial at any time — so whoever owns a fixed fleet does
+// (RunFleet). Safe after completion; the journals written so far survive,
+// and a rerun resumes from them.
+func (c *Coordinator) Drain() {
+	c.post(coordEvent{drain: true})
 }
 
 // post delivers an event unless the run is over. Reports delivery.
@@ -246,8 +256,8 @@ func (c *Coordinator) Run() (*Stats, error) {
 	for c.doneCount < len(c.slices) {
 		ev := <-c.inbox
 		switch {
-		case ev.abort != nil:
-			c.fatal = append(c.fatal, ev.abort)
+		case ev.drain:
+			c.drained = true
 		case ev.newConn != nil:
 			c.register(ev.newConn)
 		case ev.tick:
@@ -270,10 +280,10 @@ func (c *Coordinator) Run() (*Stats, error) {
 		if len(c.fatal) > 0 {
 			break
 		}
-		if c.cfg.FailWhenDrained && c.everConn && len(c.conns) == 0 && c.doneCount < len(c.slices) {
-			c.fatal = append(c.fatal,
-				fmt.Errorf("shardnet: %d of %d slices incomplete: all workers disconnected (rerun to resume from the journals)",
-					len(c.slices)-c.doneCount, len(c.slices)))
+		if c.drained && len(c.conns) == 0 && c.doneCount < len(c.slices) {
+			c.fatal = append(c.fatal, fmt.Errorf(
+				"shardnet: all workers gone with %d of %d slices left (rerun to resume from the journals)",
+				len(c.slices)-c.doneCount, len(c.slices)))
 			break
 		}
 	}
@@ -296,16 +306,23 @@ func (c *Coordinator) finish() (*Stats, error) {
 	<-c.acceptDone
 	close(c.alarmCh)
 	// Drain held events until every pump has exited, then sweep the
-	// buffer: an unreleased hold would freeze the simulated clock for the
-	// workers still winding down outside this coordinator.
+	// buffer: an unreleased hold, or an accepted connection left open and
+	// never registered, would freeze the simulated clock for the workers
+	// still winding down outside this coordinator.
+	discard := func(ev coordEvent) {
+		if ev.newConn != nil {
+			ev.newConn.conn.Close()
+		}
+		if ev.release != nil {
+			ev.release()
+		}
+	}
 	pumpsDone := make(chan struct{})
 	go func() { c.pumps.Wait(); close(pumpsDone) }()
 	for draining := true; draining; {
 		select {
 		case ev := <-c.inbox:
-			if ev.release != nil {
-				ev.release()
-			}
+			discard(ev)
 		case <-pumpsDone:
 			draining = false
 		}
@@ -313,9 +330,7 @@ func (c *Coordinator) finish() (*Stats, error) {
 	for swept := false; !swept; {
 		select {
 		case ev := <-c.inbox:
-			if ev.release != nil {
-				ev.release()
-			}
+			discard(ev)
 		default:
 			swept = true
 		}
@@ -359,13 +374,33 @@ func (c *Coordinator) acceptLoop() {
 	}
 }
 
-// alarmLoop turns armed deadlines into tick events.
+// alarm is one armed deadline. armed is a clock hold taken when the
+// alarm was armed, released once alarmLoop waits on the deadline, so
+// simulated time cannot warp past it in between.
+type alarm struct {
+	at    int64
+	armed func()
+}
+
+// alarmLoop turns armed deadlines into tick events. It holds the clock
+// from the moment the deadline is reached until the event loop has
+// reacted to the tick (expired the lease and re-granted it), so simulated
+// time cannot move on in between. The hold is released here, not by the
+// event loop, so that a tick posted while the run shuts down cannot leak
+// it.
 func (c *Coordinator) alarmLoop() {
-	for at := range c.alarmCh {
-		c.cfg.Clock.WaitUntil(at)
-		if !c.post(coordEvent{tick: true}) {
+	for a := range c.alarmCh {
+		release := c.waitHeld(a)
+		reacted := make(chan struct{})
+		if !c.post(coordEvent{tick: true, release: func() { close(reacted) }}) {
+			release()
 			return
 		}
+		select {
+		case <-reacted:
+		case <-c.quit:
+		}
+		release()
 	}
 }
 
@@ -374,7 +409,6 @@ func (c *Coordinator) register(cc *coordConn) {
 	cc.id = c.nextConn
 	c.nextConn++
 	c.conns[cc] = true
-	c.everConn = true
 	c.pumps.Add(1)
 	go c.pumpLoop(cc)
 	go c.outboxLoop(cc)
@@ -390,18 +424,36 @@ func (c *Coordinator) hold() func() {
 	return func() {}
 }
 
-// pumpLoop relays one connection's frames into the event loop. Each
-// relayed frame carries a clock hold so simulated time cannot warp past
-// the coordinator's reaction to it.
+// waitHeld waits until the clock reaches a.at, releasing a's arming
+// hold once the wait is registered, and returns a hold taken as the wait
+// ended; on a wall clock every hold is a no-op.
+func (c *Coordinator) waitHeld(a alarm) func() {
+	if h, ok := c.cfg.Clock.(interface {
+		WaitUntilHold(int64, func()) func()
+	}); ok {
+		return h.WaitUntilHold(a.at, a.armed)
+	}
+	a.armed()
+	c.cfg.Clock.WaitUntil(a.at)
+	return func() {}
+}
+
+// pumpLoop relays one connection's frames, and finally its death, into
+// the event loop. Each relayed event carries a clock hold so simulated
+// time cannot warp past the coordinator's reaction to it.
 func (c *Coordinator) pumpLoop(cc *coordConn) {
 	defer c.pumps.Done()
 	for {
 		f, err := cc.conn.Recv(0)
+		release := c.hold()
 		if err != nil {
-			c.post(coordEvent{conn: cc, err: err})
+			// The death is work in flight too: until the event loop has
+			// released the lease and re-granted it, time must not pass.
+			if !c.post(coordEvent{conn: cc, err: err, release: release}) {
+				release()
+			}
 			return
 		}
-		release := c.hold()
 		if !c.post(coordEvent{conn: cc, frame: &f, release: release}) {
 			release()
 			return
@@ -512,38 +564,68 @@ func (c *Coordinator) connDead(cc *coordConn) {
 		}
 		cc.holding = -1
 	}
+	for _, s := range c.slices {
+		if s.claimant == cc {
+			s.claimant = nil
+		}
+	}
 }
 
 // expireLeases releases every lease whose deadline passed — heartbeat
-// silence, whether from death, partition, or a stalled peer. The old
+// silence, whether from a partition or a stalled holder. The old
 // holder (if its connection survives) is fenced best-effort; its epoch
 // is already superseded by the time anyone else is granted the slice.
+//
+// Idle workers take the released slices over at once, in connection
+// order. A slice none of them took is claimed for its fenced holder for
+// one TTL: the holder comes back for it rather than for whatever slice
+// is free when its Ready is read. Otherwise, when several holders are
+// fenced on one tick, the order their Readys arrive in would decide who
+// resumes which slice, and so the stats.
 func (c *Coordinator) expireLeases() {
 	now := c.cfg.Clock.Now()
+	var fenced []*coordSlice
 	for _, s := range c.slices {
+		if s.claimant != nil && now >= s.deadline {
+			s.claimant = nil
+		}
 		if !s.leased || s.done || now < s.deadline {
 			continue
 		}
 		s.leased = false
 		c.stats.Expired++
-		if s.holder != nil {
-			c.enqueue(s.holder, Frame{Type: frameFence, Payload: encodeLeaseRef(leaseRef{Slice: s.idx, Epoch: s.epoch})})
-			s.holder.holding = -1
+		if h := s.holder; h != nil {
+			c.enqueue(h, Frame{Type: frameFence, Payload: encodeLeaseRef(leaseRef{Slice: s.idx, Epoch: s.epoch})})
+			h.holding = -1
 			s.holder = nil
+			if !h.ready {
+				fenced = append(fenced, s)
+			}
+		}
+	}
+	if len(fenced) == 0 {
+		return
+	}
+	c.grantLoop()
+	for _, s := range fenced {
+		if !s.leased && !s.done {
+			s.claimant = s.last
+			s.deadline = now + c.ttl
 		}
 	}
 }
 
-// armAlarm schedules a tick at the earliest lease deadline. One alarm in
-// flight at a time; a deadline that moves earlier after arming is caught
-// one tick late, which delays an expiry but never admits a stale frame.
+// armAlarm schedules a tick at the earliest lease or claim deadline. One
+// alarm in flight at a time; a deadline that moves earlier after arming
+// is caught one tick late, which delays an expiry but never admits a
+// stale frame.
 func (c *Coordinator) armAlarm() {
 	if c.armed {
 		return
 	}
 	target := int64(-1)
 	for _, s := range c.slices {
-		if s.leased && !s.done && (target < 0 || s.deadline < target) {
+		if (s.leased || s.claimant != nil) && !s.done && (target < 0 || s.deadline < target) {
 			target = s.deadline
 		}
 	}
@@ -551,7 +633,7 @@ func (c *Coordinator) armAlarm() {
 		return
 	}
 	c.armed = true
-	c.alarmCh <- target
+	c.alarmCh <- alarm{at: target, armed: c.hold()}
 }
 
 // handleFrame dispatches one worker frame.
@@ -682,8 +764,8 @@ func (c *Coordinator) grantLoop() {
 		if !cc.ready || !cc.welcome || cc.holding >= 0 {
 			continue
 		}
-		for _, s := range c.slices {
-			if s.done || s.leased {
+		for _, s := range c.claimedFirst(cc) {
+			if s.done || s.leased || (s.claimant != nil && s.claimant != cc) {
 				continue
 			}
 			if !s.opened {
@@ -700,14 +782,22 @@ func (c *Coordinator) grantLoop() {
 				}
 			}
 			s.leased = true
+			s.claimant = nil
 			s.epoch++
 			s.holder = cc
 			s.deadline = c.cfg.Clock.Now() + c.ttl
 			s.pending = map[int][]byte{}
 			if s.everLeased {
 				c.stats.Reassigned++
+				if cc != s.last {
+					// A takeover resumes at the cursor: the frames below
+					// it are durable, and the new holder does not
+					// recompute what another connection computed.
+					c.stats.ResumedFrames += s.next
+				}
 			}
 			s.everLeased = true
+			s.last = cc
 			c.stats.Granted++
 			cc.holding = s.idx
 			cc.ready = false
@@ -719,10 +809,21 @@ func (c *Coordinator) grantLoop() {
 	}
 }
 
-// openJournal creates or resumes the slice's WAL, exactly like a
-// shardcoord takeover: stream the verified frames (Reader, never a
-// whole-WAL slurp), hold the on-disk meta against the slice's, and
-// continue after the durable prefix.
+// claimedFirst orders the slices for a grant to cc: a slice cc has the
+// claim on first, then every slice in index order.
+func (c *Coordinator) claimedFirst(cc *coordConn) []*coordSlice {
+	for _, s := range c.slices {
+		if s.claimant == cc {
+			return append([]*coordSlice{s}, c.slices...)
+		}
+	}
+	return c.slices
+}
+
+// openJournal creates or resumes the slice's WAL at first grant: stream
+// the verified frames (Reader, never a whole-WAL slurp), hold the
+// on-disk meta against the slice's, and continue after the durable
+// prefix — a torn tail left by an interrupted run is cut off there.
 func (c *Coordinator) openJournal(s *coordSlice) error {
 	s.opened = true
 	if _, err := os.Stat(s.conf.Path); err == nil {

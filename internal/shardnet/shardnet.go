@@ -1,18 +1,23 @@
-// Package shardnet lifts the shardcoord lease protocol over a message
-// transport, so shard workers can run on separate machines: the
-// coordinator owns the lease table and the slice WALs, workers receive
-// the run configuration over the wire (the seed and parameters, never
-// data), rebuild the world deterministically, and stream result frames
-// back. Because each slice journal is written by the coordinator from
-// verified frames, the existing streaming merge consumes a transported
-// run's journals unchanged.
+// Package shardnet coordinates a sharded study run: an app universe cut
+// into contiguous slices, handed to workers under time-bounded, epoch-
+// fenced leases over a message transport. The coordinator owns the lease
+// table and the slice WALs; workers stream result frames back. Every
+// slice is crash-only: when a holder dies or goes silent, its lease is
+// released and the next holder resumes at the journal cursor instead of
+// recomputing. Because each slice journal is written by the coordinator
+// from verified frames, the streaming merge reads the journals the same
+// way whichever transport carried them.
 //
 // Two interchangeable transports implement the same Conn/Listener
 // contract: a deterministic in-process simulated network (sim.go) whose
 // delay, drop, duplication, reorder and partition faults are seeded
-// draws from faultinject + detrand, and a real TCP transport (tcp.go)
-// whose frames reuse the journal framing discipline — length-prefixed,
-// CRC32C-checksummed, versioned by a magic string.
+// draws from faultinject + detrand — with no faults it is the in-memory
+// transport of an in-process run (fleet.go) — and a real TCP transport
+// (tcp.go) for workers on other machines, which receive the run
+// configuration over the wire (the seed and parameters, never data) and
+// rebuild the world deterministically. TCP frames reuse the journal
+// framing discipline — length-prefixed, CRC32C-checksummed, versioned by
+// a magic string.
 //
 // Protocol shape (full grammar in DESIGN.md §11):
 //

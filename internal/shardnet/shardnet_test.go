@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -103,44 +104,55 @@ func verifyJournals(t *testing.T, slices []Slice) {
 	}
 }
 
-// runSim drives one simulated-network run: a coordinator plus workers
-// in-process workers over a SimNet injecting chaos.
-func runSim(t *testing.T, slices []Slice, workers int, chaos *faultinject.NetChaos,
-	killTap func(slice, item int) (int, bool)) (*Stats, []error) {
-	t.Helper()
+// simFleet drives one simulated-network run: a coordinator plus a fleet
+// of workers in-process workers over a SimNet injecting chaos, each
+// worker consulting faults.
+func simFleet(slices []Slice, workers int, chaos *faultinject.NetChaos,
+	faults func(slice, item int) Fault, newBench func([]byte) (Bench, error)) (*Stats, []error, error) {
 	simnet := NewSimNet(chaos)
 	coord, err := NewCoordinator(Config{
-		Listener:        simnet.Listener(),
-		Clock:           simnet,
-		Slices:          slices,
-		RunConfig:       []byte("fake-run-config"),
-		BackoffSeed:     7,
-		FailWhenDrained: true,
+		Listener:    simnet.Listener(),
+		Clock:       simnet,
+		Slices:      slices,
+		RunConfig:   []byte("fake-run-config"),
+		BackoffSeed: 7,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	workerErrs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = RunWorker(simnet.Dialer(), WorkerOptions{
-				Clock:       simnet,
-				NewBench:    newFakeBench,
-				BackoffSeed: 7,
-				Scope:       fmt.Sprintf("w%d", i),
-				KillTap:     killTap,
-			})
-		}(i)
-	}
-	stats, err := coord.Run()
-	wg.Wait()
+	simnet.ExpectDials(workers)
+	return RunFleet(coord, workers, func(i int) error {
+		return RunWorker(simnet.Dialer(), WorkerOptions{
+			Clock:       simnet,
+			NewBench:    newBench,
+			BackoffSeed: 7,
+			Scope:       fmt.Sprintf("w%d", i),
+			FaultTap:    faults,
+		})
+	})
+}
+
+// runSim is simFleet over the fake bench, failing the test if the run
+// does not complete.
+func runSim(t *testing.T, slices []Slice, workers int, chaos *faultinject.NetChaos,
+	faults func(slice, item int) Fault) (*Stats, []error) {
+	t.Helper()
+	stats, workerErrs, err := simFleet(slices, workers, chaos, faults, newFakeBench)
 	if err != nil {
 		t.Fatalf("coordinator: %v (stats %+v, worker errs %v)", err, stats, workerErrs)
 	}
 	return stats, workerErrs
+}
+
+// killedWorkers counts the injected deaths among a fleet's outcomes.
+func killedWorkers(workerErrs []error) int {
+	killed := 0
+	for _, e := range workerErrs {
+		if errors.Is(e, ErrWorkerKilled) {
+			killed++
+		}
+	}
+	return killed
 }
 
 func TestSimRunCompletesAndJournals(t *testing.T) {
@@ -221,31 +233,76 @@ func TestSimDelayedFrameNeverLandsOutOfOrder(t *testing.T) {
 
 func TestSimWorkerKillMidStreamResumes(t *testing.T) {
 	slices := testSlices(t.TempDir(), 6, 4)
-	var mu sync.Mutex
-	fired := false
-	kill := func(slice, item int) (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if slice == 0 && item == 3 && !fired {
-			fired = true
-			return 5, true
-		}
-		return 0, false
-	}
-	stats, workerErrs := runSim(t, slices, 2, nil, kill)
-	killed := 0
-	for _, e := range workerErrs {
-		if errors.Is(e, ErrWorkerKilled) {
-			killed++
-		}
-	}
-	if killed != 1 {
+	plan := &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 3, TornBytes: 5}}}
+	stats, workerErrs := runSim(t, slices, 2, nil, PlanFaults(plan, DefaultSimTTL))
+	if killed := killedWorkers(workerErrs); killed != 1 {
 		t.Fatalf("killed workers = %d, want 1 (errs %v)", killed, workerErrs)
 	}
 	if stats.ConnDrops < 1 || stats.Reassigned < 1 {
 		t.Fatalf("stats = %+v, want a conn drop and a reassignment", stats)
 	}
+	if stats.ResumedFrames != 3 {
+		t.Fatalf("ResumedFrames = %d, want the 3 results sent before the death", stats.ResumedFrames)
+	}
 	verifyJournals(t, slices)
+}
+
+func TestSimFirstWorkerDiesBeforeOthersDial(t *testing.T) {
+	// The first worker to connect dies on its first item while the rest
+	// of the fleet has not dialed yet. The coordinator must keep waiting
+	// — a fleet that has not fully arrived is not spent — and the late
+	// worker takes over and completes the run.
+	slices := testSlices(t.TempDir(), 3, 2)
+	plan := &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 0}}}
+	faults := PlanFaults(plan, DefaultSimTTL)
+	simnet := NewSimNet(nil)
+	coord, err := NewCoordinator(Config{
+		Listener:  simnet.Listener(),
+		Clock:     simnet,
+		Slices:    slices,
+		RunConfig: []byte("fake-run-config"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstGone := make(chan struct{})
+	stats, workerErrs, err := RunFleet(coord, 2, func(i int) error {
+		if i == 0 {
+			defer close(firstGone)
+		} else {
+			<-firstGone
+		}
+		return RunWorker(simnet.Dialer(), WorkerOptions{Clock: simnet, NewBench: newFakeBench, FaultTap: faults})
+	})
+	if err != nil {
+		t.Fatalf("coordinator: %v (stats %+v, worker errs %v)", err, stats, workerErrs)
+	}
+	if !errors.Is(workerErrs[0], ErrWorkerKilled) || workerErrs[1] != nil {
+		t.Fatalf("worker errs = %v, want the first killed and the second clean", workerErrs)
+	}
+	if stats.Workers != 2 || stats.Reassigned != 1 {
+		t.Fatalf("stats = %+v, want 2 workers and slice 0 reassigned once", stats)
+	}
+	verifyJournals(t, slices)
+}
+
+func TestSimFleetSpentFailsRun(t *testing.T) {
+	// Every worker of a fixed fleet dies with slices left: the run must
+	// fail loudly rather than wait for a worker that will never dial.
+	slices := testSlices(t.TempDir(), 4, 4)
+	plan := &faultinject.ShardPlan{Kills: []faultinject.ShardKill{
+		{Slice: 0, AfterResults: 1}, {Slice: 1, AfterResults: 2},
+	}}
+	stats, workerErrs, err := simFleet(slices, 2, nil, PlanFaults(plan, DefaultSimTTL), newFakeBench)
+	if err == nil || !strings.Contains(err.Error(), "workers gone") {
+		t.Fatalf("run with its whole fleet dead: %v, want workers-gone failure", err)
+	}
+	if killedWorkers(workerErrs) != 2 {
+		t.Fatalf("worker errs = %v, want both killed", workerErrs)
+	}
+	if stats.ResumedFrames != 0 {
+		t.Fatalf("stats = %+v: no slice should have been taken over", stats)
+	}
 }
 
 // TestZombieEpochFrameIsFencedAndWALStaysIntact scripts the takeover race
@@ -259,11 +316,10 @@ func TestZombieEpochFrameIsFencedAndWALStaysIntact(t *testing.T) {
 	slices := testSlices(t.TempDir(), 3, 1)
 	simnet := NewSimNet(nil)
 	coord, err := NewCoordinator(Config{
-		Listener:        simnet.Listener(),
-		Clock:           simnet,
-		Slices:          slices,
-		RunConfig:       []byte("fake-run-config"),
-		FailWhenDrained: true,
+		Listener:  simnet.Listener(),
+		Clock:     simnet,
+		Slices:    slices,
+		RunConfig: []byte("fake-run-config"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -438,11 +494,10 @@ func TestZombieEpochFrameIsFencedAndWALStaysIntact(t *testing.T) {
 	}
 	net2 := NewSimNet(nil)
 	coord2, err := NewCoordinator(Config{
-		Listener:        net2.Listener(),
-		Clock:           net2,
-		Slices:          slices,
-		RunConfig:       []byte("fake-run-config"),
-		FailWhenDrained: true,
+		Listener:  net2.Listener(),
+		Clock:     net2,
+		Slices:    slices,
+		RunConfig: []byte("fake-run-config"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -501,56 +556,35 @@ func TestTCPLoopbackRunWithMidStreamKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const ttl = int64(2_000_000_000) // 2s in wall nanoseconds
 	coord, err := NewCoordinator(Config{
-		Listener:        ln,
-		Clock:           WallClock(),
-		Slices:          slices,
-		RunConfig:       []byte("fake-run-config"),
-		LeaseTTL:        int64(2_000_000_000), // 2s in wall nanoseconds
-		FailWhenDrained: true,
+		Listener:  ln,
+		Clock:     WallClock(),
+		Slices:    slices,
+		RunConfig: []byte("fake-run-config"),
+		LeaseTTL:  ttl,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	fired := false
-	kill := func(slice, item int) (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if slice == 0 && item == 2 && !fired {
-			fired = true
-			return 7, true // torn wire prefix: the framing must reject it
-		}
-		return 0, false
-	}
-	workerErrs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = RunWorker(TCPDialer{Addr: ln.Addr()}, WorkerOptions{
-				Clock:       WallClock(),
-				NewBench:    newFakeBench,
-				IdleTimeout: int64(250_000_000), // 250ms
-				BackoffBase: int64(20_000_000),  // 20ms
-				Scope:       fmt.Sprintf("tcp%d", i),
-				KillTap:     kill,
-			})
-		}(i)
-	}
-	stats, err := coord.Run()
-	wg.Wait()
+	// The torn wire prefix of the killed worker's frame must be rejected
+	// by the framing.
+	plan := &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 2, TornBytes: 7}}}
+	faults := PlanFaults(plan, ttl)
+	stats, workerErrs, err := RunFleet(coord, 2, func(i int) error {
+		return RunWorker(TCPDialer{Addr: ln.Addr()}, WorkerOptions{
+			Clock:       WallClock(),
+			NewBench:    newFakeBench,
+			IdleTimeout: int64(250_000_000), // 250ms
+			BackoffBase: int64(20_000_000),  // 20ms
+			Scope:       fmt.Sprintf("tcp%d", i),
+			FaultTap:    faults,
+		})
+	})
 	if err != nil {
 		t.Fatalf("coordinator: %v (stats %+v, worker errs %v)", err, stats, workerErrs)
 	}
-	killed := 0
-	for _, e := range workerErrs {
-		if errors.Is(e, ErrWorkerKilled) {
-			killed++
-		}
-	}
-	if killed != 1 {
+	if killed := killedWorkers(workerErrs); killed != 1 {
 		t.Fatalf("killed workers = %d, want 1 (errs %v)", killed, workerErrs)
 	}
 	if stats.ConnDrops < 1 || stats.Reassigned < 1 {

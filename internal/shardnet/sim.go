@@ -4,12 +4,11 @@ package shardnet
 // in-memory frame queues under one logical clock, and every pathology —
 // delay, drop, duplication, the reordering they produce, and partitions —
 // is a seeded draw from the faultinject plan, applied when a frame is
-// sent. There is no wall clock and no goroutine sleeps: like shardcoord,
-// the network advances time by discrete-event warp — when every open
-// endpoint is blocked (receiving or waiting on the clock), the clock
-// jumps to the earliest pending delivery, receive deadline, or wait
-// target. Tests of hostile networks therefore run in microseconds and
-// replay exactly.
+// sent. There is no wall clock and no goroutine sleeps: the network
+// advances time by discrete-event warp — when every open endpoint is
+// blocked (receiving or waiting on the clock), the clock jumps to the
+// earliest pending delivery, receive deadline, or wait target. Tests of
+// hostile networks therefore run in microseconds and replay exactly.
 //
 // Fault semantics, chosen to mirror a real stream transport:
 //
@@ -34,6 +33,9 @@ import (
 
 // SimNet is one simulated network: a logical clock, a listener, and the
 // connections dialed through it. It implements Clock for both sides.
+// NewSimNet(nil) is a fault-free in-memory transport: an in-process
+// sharded run uses it to drive its worker fleet through the same
+// coordinator a cross-machine run uses.
 type SimNet struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -43,6 +45,7 @@ type SimNet struct {
 
 	openEnds int
 	holds    int
+	dialsDue int // dials ExpectDials still waits for
 	waiters  map[*simWaiter]struct{}
 
 	listener *SimListener
@@ -84,9 +87,40 @@ func (n *SimNet) Now() int64 {
 func (n *SimNet) WaitUntil(at int64) int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.waitLocked(at)
+	return n.now
+}
+
+// WaitUntilHold is WaitUntil that takes a Hold as the wait ends,
+// atomically with the wake: the waiter's reaction to the deadline is work
+// in flight, and the clock must not move past it before it lands. armed
+// runs once the wait is registered, when the warp can no longer skip
+// past at: it releases the hold that pinned the clock while the wait was
+// on its way here.
+func (n *SimNet) WaitUntilHold(at int64, armed func()) func() {
+	n.mu.Lock()
+	w := n.addWaiterLocked(at)
+	n.mu.Unlock()
+	armed()
+	n.mu.Lock()
+	n.waitForLocked(w)
+	n.holds++
+	n.mu.Unlock()
+	return n.releaser()
+}
+
+func (n *SimNet) waitLocked(at int64) {
+	n.waitForLocked(n.addWaiterLocked(at))
+}
+
+func (n *SimNet) addWaiterLocked(at int64) *simWaiter {
 	w := &simWaiter{target: at}
 	n.waiters[w] = struct{}{}
-	for n.now < at {
+	return w
+}
+
+func (n *SimNet) waitForLocked(w *simWaiter) {
+	for n.now < w.target {
 		if !n.quiescentLocked() || n.runnableLocked() || !n.warpLocked() {
 			n.cond.Wait()
 		}
@@ -95,7 +129,17 @@ func (n *SimNet) WaitUntil(at int64) int64 {
 	// Deregistering changes what the warp can see — a peer blocked on
 	// "that waiter will act next" must re-evaluate, or its wakeup is lost.
 	n.cond.Broadcast()
-	return n.now
+}
+
+// ExpectDials pins the logical clock until k more connections have been
+// dialed. A fleet started as goroutines dials whenever the scheduler
+// runs each worker; without the pin the clock could tick between two
+// dials, and the tick a worker joins at would be scheduling. Closing the
+// listener lifts the pin.
+func (n *SimNet) ExpectDials(k int) {
+	n.mu.Lock()
+	n.dialsDue += k
+	n.mu.Unlock()
 }
 
 // Hold pins the logical clock: while any hold is outstanding the network
@@ -109,6 +153,11 @@ func (n *SimNet) Hold() func() {
 	n.mu.Lock()
 	n.holds++
 	n.mu.Unlock()
+	return n.releaser()
+}
+
+// releaser returns the idempotent release of one hold.
+func (n *SimNet) releaser() func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
@@ -133,7 +182,7 @@ func (n *SimNet) Dialer() Dialer { return simDialer{net: n} }
 // states so an end closed while its receiver is mid-wake never skews the
 // count.
 func (n *SimNet) quiescentLocked() bool {
-	if n.holds > 0 {
+	if n.holds > 0 || n.dialsDue > 0 {
 		return false
 	}
 	open, blocked := 0, 0
@@ -405,6 +454,8 @@ func (l *SimListener) Close() error {
 		return nil
 	}
 	l.closed = true
+	n.dialsDue = 0
+	n.cond.Broadcast()
 	for _, p := range l.pending {
 		if !p.worker.closed {
 			p.worker.closed = true
@@ -435,6 +486,9 @@ func (d simDialer) Dial() (Conn, error) {
 	p.worker = &simEnd{pair: p, isWorker: true, deadline: -1}
 	p.coord = &simEnd{pair: p, deadline: -1}
 	n.openEnds += 2
+	if n.dialsDue > 0 {
+		n.dialsDue--
+	}
 	n.listener.pending = append(n.listener.pending, p)
 	n.listener.conns = append(n.listener.conns, p)
 	n.cond.Broadcast()

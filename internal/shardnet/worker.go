@@ -44,11 +44,28 @@ type WorkerOptions struct {
 	BackoffBase int64
 	BackoffMax  int64
 	Scope       string
-	// KillTap, when set, is consulted before each result send; returning
-	// kill = true makes the worker die mid-stream — over TCP it writes
-	// torn bytes of the result frame first, the wire image of a process
-	// dying mid-send. Fire-once is the caller's responsibility.
-	KillTap func(slice, item int) (torn int, kill bool)
+	// FaultTap, when set, is consulted once per item of a grant, before
+	// the item's heartbeat, and injects the Fault it returns (PlanFaults
+	// renders a faultinject.ShardPlan as one). Fire-once is the tap's
+	// responsibility.
+	FaultTap func(slice, item int) Fault
+}
+
+// Fault is one injected worker fault at an item of a granted slice. The
+// zero value injects nothing.
+type Fault struct {
+	// Stall > 0 makes the holder go silent for Stall clock units before
+	// it computes the item — no heartbeat, no result — and then give the
+	// grant up and announce Ready again: a holder silent past its lease
+	// TTL must assume the lease is gone, so it never recomputes a slice
+	// someone else has taken over. A Fence for the lease ends the stall
+	// early.
+	Stall int64
+	// Kill makes the worker die right before it sends the item's result;
+	// over TCP it first writes Torn bytes of the result frame, the wire
+	// image of a process dying mid-send.
+	Kill bool
+	Torn int
 }
 
 // tornSender is implemented by transports that can write a torn frame
@@ -56,6 +73,9 @@ type WorkerOptions struct {
 type tornSender interface {
 	SendTorn(f Frame, torn int) error
 }
+
+// errRunDone reports a Done frame that arrived while a grant was stalled.
+var errRunDone = errors.New("shardnet: run done")
 
 // RunWorker dials the coordinator and works until Done. It returns nil
 // when the coordinator reports the run complete, ErrWorkerKilled when an
@@ -146,7 +166,9 @@ func runSession(conn Conn, opt WorkerOptions, bench *Bench) error {
 			if err != nil {
 				return err
 			}
-			if err := runGrant(conn, opt, *bench, g); err != nil {
+			if err := runGrant(conn, opt, *bench, g); errors.Is(err, errRunDone) {
+				return nil
+			} else if err != nil {
 				return err
 			}
 			if err := conn.Send(Frame{Type: frameReady}); err != nil {
@@ -163,11 +185,20 @@ func runSession(conn Conn, opt WorkerOptions, bench *Bench) error {
 // runGrant works items [Start, Items) of the granted slice, heartbeating
 // before each item so the lease outlives slow result frames. The worker
 // never learns mid-grant that it was fenced — it cannot Recv while
-// computing — so a fenced worker finishes as a zombie whose frames the
-// coordinator refuses; purity makes that waste, never corruption.
+// computing — so a holder whose lease expired under it (a partition)
+// finishes as a zombie whose frames the coordinator refuses; purity makes
+// that waste, never corruption. A holder that knows it went silent (an
+// injected stall) gives the grant up instead.
 func runGrant(conn Conn, opt WorkerOptions, bench Bench, g grant) error {
 	hb := encodeLeaseRef(leaseRef{Slice: g.Slice, Epoch: g.Epoch})
 	for item := g.Start; item < g.Items; item++ {
+		var fault Fault
+		if opt.FaultTap != nil {
+			fault = opt.FaultTap(g.Slice, item)
+		}
+		if fault.Stall > 0 {
+			return stall(conn, opt.Clock, g, fault.Stall)
+		}
 		if err := conn.Send(Frame{Type: frameHeartbeat, Payload: hb}); err != nil {
 			return err
 		}
@@ -178,18 +209,41 @@ func runGrant(conn Conn, opt WorkerOptions, bench Bench, g grant) error {
 		rf := Frame{Type: frameResult, Payload: encodeResult(result{
 			Slice: g.Slice, Epoch: g.Epoch, Item: item, Payload: payload,
 		})}
-		if opt.KillTap != nil {
-			if torn, kill := opt.KillTap(g.Slice, item); kill {
-				if ts, ok := conn.(tornSender); ok {
-					ts.SendTorn(rf, torn)
-				} else {
-					conn.Close()
-				}
-				return ErrWorkerKilled
+		if fault.Kill {
+			if ts, ok := conn.(tornSender); ok {
+				ts.SendTorn(rf, fault.Torn)
+			} else {
+				conn.Close()
 			}
+			return ErrWorkerKilled
 		}
 		if err := conn.Send(rf); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// stall keeps the holder of g silent for ticks clock units. It blocks in
+// Recv rather than on the clock, so on the simulated network the stalled
+// end counts as idle and time can pass under it, and a Fence for the
+// lease ends the stall at once. Frames about other leases are dropped.
+func stall(conn Conn, clock Clock, g grant, ticks int64) error {
+	lease := leaseRef{Slice: g.Slice, Epoch: g.Epoch}
+	until := clock.Now() + ticks
+	for wait := ticks; wait > 0; wait = until - clock.Now() {
+		f, err := conn.Recv(wait)
+		switch {
+		case errors.Is(err, ErrRecvTimeout):
+			return nil
+		case err != nil:
+			return err
+		case f.Type == frameDone:
+			return errRunDone
+		case f.Type == frameFence:
+			if ref, err := decodeLeaseRef(f.Payload); err == nil && ref == lease {
+				return nil
+			}
 		}
 	}
 	return nil

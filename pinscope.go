@@ -461,7 +461,8 @@ func (st *Study) Ablations(sample int) (string, error) {
 // reference) and renders how far the Table 3 dynamic prevalences drift as
 // operational faults rise — the robustness envelope of the methodology.
 // Positive-rate points additionally rerun as a 4-shard sharded study under
-// a derived shard-death plan and verify the merged export matches. Each
+// a derived shard fault plan — worker kills, lease expiries and network
+// chaos — and verify the merged export matches. Each
 // point is a complete study on a fresh world; budget accordingly.
 func ChaosReport(cfg Config, rates []float64) (string, error) {
 	points, err := core.ChaosSweep(cfg.toCore(), rates)
@@ -476,43 +477,38 @@ type ShardOptions struct {
 	// Shards is the number of contiguous slices the app universe is cut
 	// into; each slice journals into its own WAL under Dir.
 	Shards int
-	// Workers sizes the worker pool measuring the slices (0 → one per
-	// shard). Workers hold slices under time-bounded leases: a dead
-	// worker's lease expires and a survivor resumes its slice from the
-	// journal instead of recomputing it.
+	// Workers sizes the in-process worker fleet measuring the slices
+	// (0 → one per shard). Workers hold slices under time-bounded,
+	// epoch-fenced leases from one coordinator, the same coordinator
+	// ServeShards runs for workers on other machines: a dead worker's
+	// lease is released and a survivor resumes its slice from the journal
+	// instead of recomputing it. ServeShards ignores Workers — it takes
+	// whatever workers dial it.
 	Workers int
 	// Dir is the shard-journal directory (created if missing). Rerunning
 	// over an interrupted run's directory resumes it.
 	Dir string
 	// Kills deterministically kills the worker holding a slice (for
-	// crash-drill runs): slice index → results appended before the cut.
+	// crash-drill runs of RunSharded): slice index → results journaled
+	// before the death.
 	Kills []ShardKill
-	// KillTorn is the torn-frame length each injected kill leaves on disk.
-	KillTorn int
-	// NetChaosRate, for transported runs (RunShardedNet), derives a
-	// seeded network fault plan — delayed, dropped, and duplicated
-	// frames, plus partitions long enough to expire a lease — at this
-	// rate on top of any explicit Kills. 0 injects nothing; the plan is
-	// capped so at least one shard always makes progress. Ignored by
-	// in-process and TCP runs (a real wire is not simulated).
-	NetChaosRate float64
 }
 
-// ShardKill names one injected shard death: the holder of Slice dies while
-// appending result AfterResults (0-based within the slice journal).
+// ShardKill names one injected shard death: the holder of Slice dies right
+// before it sends result AfterResults (0-based within the slice).
 type ShardKill struct {
 	Slice        int
 	AfterResults int
 }
 
-func (o ShardOptions) plan(torn int) *faultinject.ShardPlan {
+func (o ShardOptions) plan() *faultinject.ShardPlan {
 	if len(o.Kills) == 0 {
 		return nil
 	}
 	p := &faultinject.ShardPlan{}
 	for _, k := range o.Kills {
 		p.Kills = append(p.Kills, faultinject.ShardKill{
-			Slice: k.Slice, AfterResults: k.AfterResults, TornBytes: torn,
+			Slice: k.Slice, AfterResults: k.AfterResults,
 		})
 	}
 	return p
@@ -520,20 +516,48 @@ func (o ShardOptions) plan(torn int) *faultinject.ShardPlan {
 
 // ShardStats reports what a sharded run's coordinator observed.
 type ShardStats struct {
-	// Workers and Shards echo the run shape.
+	// Workers counts worker connections welcomed (a reconnect counts
+	// again); Shards echoes the slice count.
 	Workers, Shards int
 	// WorkersKilled counts injected shard deaths that fired.
 	WorkersKilled int
-	// LeasesExpired counts leases that timed out (dead or stalled holder);
-	// Reassigned counts slices a second worker took over.
+	// LeasesExpired counts leases released for heartbeat silence (a
+	// stalled or partitioned holder); Reassigned counts grants of a slice
+	// that already had a holder.
 	LeasesExpired, Reassigned int
 	// ResumedFrames counts results replayed from shard journals instead of
 	// recomputed — on takeover within a run and on rerun of a killed run.
 	ResumedFrames int
+	// Fenced counts zombie-epoch frames refused after a lease takeover;
+	// Duplicates counts deliveries discarded as already journaled;
+	// Reordered counts results buffered ahead of the slice cursor;
+	// SendRetries counts coordinator send attempts beyond the first;
+	// ConnDrops counts connections that died or were declared dead.
+	Fenced, Duplicates, Reordered, SendRetries, ConnDrops int
+}
+
+func shardStats(stats *core.ShardStats) *ShardStats {
+	if stats == nil {
+		return nil
+	}
+	return &ShardStats{
+		Workers: stats.Workers, Shards: stats.Slices,
+		WorkersKilled: stats.WorkersKilled,
+		LeasesExpired: stats.Expired, Reassigned: stats.Reassigned,
+		ResumedFrames: stats.ResumedFrames,
+		Fenced:        stats.Fenced,
+		Duplicates:    stats.Duplicates,
+		Reordered:     stats.Reordered,
+		SendRetries:   stats.SendRetries,
+		ConnDrops:     stats.ConnDrops,
+	}
 }
 
 // RunSharded executes the study as opts.Shards crash-only slices under
-// lease-based coordination, leaving one journal per slice in opts.Dir. It
+// lease-based coordination, leaving one journal per slice in opts.Dir.
+// The worker fleet runs in-process and talks to the coordinator over a
+// deterministic in-memory transport; ServeShards and ConnectShardWorker
+// run the same coordinator and workers across machines. It
 // returns statistics, not a Study: fold the journals into the canonical
 // dataset with MergeShards. If workers die (injected via opts.Kills or a
 // real crash killing the process), rerunning with the same configuration
@@ -548,120 +572,9 @@ func RunSharded(cfg Config, opts ShardOptions) (*ShardStats, error) {
 		Shards:  opts.Shards,
 		Workers: opts.Workers,
 		Dir:     opts.Dir,
-		Faults:  opts.plan(opts.KillTorn),
+		Faults:  opts.plan(),
 	})
-	if stats == nil {
-		return nil, err
-	}
-	return &ShardStats{
-		Workers: stats.Workers, Shards: stats.Slices,
-		WorkersKilled: stats.WorkersKilled,
-		LeasesExpired: stats.Expired, Reassigned: stats.Reassigned,
-		ResumedFrames: stats.ResumedFrames,
-	}, err
-}
-
-// NetShardStats reports a transported sharded run: the shard accounting
-// plus the transport's own counters.
-type NetShardStats struct {
-	ShardStats
-	// Fenced counts zombie-epoch frames refused after a lease takeover;
-	// Duplicates counts deliveries discarded as already journaled;
-	// Reordered counts results buffered ahead of the slice cursor;
-	// SendRetries counts coordinator send attempts beyond the first;
-	// ConnDrops counts connections that died or were declared dead.
-	Fenced, Duplicates, Reordered, SendRetries, ConnDrops int
-}
-
-func netShardStats(stats *core.NetShardStats) *NetShardStats {
-	if stats == nil {
-		return nil
-	}
-	return &NetShardStats{
-		ShardStats: ShardStats{
-			Workers: stats.Net.Workers, Shards: stats.Net.Slices,
-			WorkersKilled: stats.WorkersKilled,
-			LeasesExpired: stats.Net.Expired, Reassigned: stats.Net.Reassigned,
-			ResumedFrames: stats.Net.ResumedFrames,
-		},
-		Fenced:      stats.Net.Fenced,
-		Duplicates:  stats.Net.Duplicates,
-		Reordered:   stats.Net.Reordered,
-		SendRetries: stats.Net.SendRetries,
-		ConnDrops:   stats.Net.ConnDrops,
-	}
-}
-
-// netConfig renders the options for a transported run, deriving the
-// seeded network fault plan when NetChaosRate is set: with no explicit
-// kills the derived plan applies wholesale; with explicit kills only its
-// network family rides along (mixing two kill sources could leave no
-// surviving worker).
-func (o ShardOptions) netConfig(cfg core.Config) (core.ShardedConfig, error) {
-	sc := core.ShardedConfig{
-		Shards:  o.Shards,
-		Workers: o.Workers,
-		Dir:     o.Dir,
-		Faults:  o.plan(o.KillTorn),
-	}
-	if o.NetChaosRate > 0 {
-		derived, err := core.DeriveNetPlan(cfg, sc, o.NetChaosRate)
-		if err != nil {
-			return sc, err
-		}
-		if sc.Faults == nil {
-			sc.Faults = derived
-		} else if derived != nil {
-			sc.Faults.Net = derived.Net
-		}
-	}
-	return sc, nil
-}
-
-// RunShardedNet executes the sharded study over the deterministic
-// simulated network: the coordinator and its worker fleet exchange
-// framed messages — heartbeats separated from result streams — through an
-// in-process transport whose pathologies (delayed, dropped, and
-// duplicated frames, partitions that outlive a lease) are seeded draws
-// via ShardOptions.NetChaosRate. Lease takeover, epoch fencing, and
-// backed-off sends recover from every injected fault; journals, resume
-// semantics, and MergeShards byte-identity are exactly RunSharded's.
-func RunShardedNet(cfg Config, opts ShardOptions) (*NetShardStats, error) {
-	cc := cfg.toCore()
-	if cfg.JournalPath != "" || cfg.KillAfter > 0 {
-		return nil, errors.New("pinscope: sharded runs journal per shard; JournalPath and KillAfter do not apply")
-	}
-	sc, err := opts.netConfig(cc)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := core.RunShardedNet(cc, sc)
-	if stats == nil {
-		return nil, err
-	}
-	return netShardStats(stats), err
-}
-
-// RunShardedTCP is RunShardedNet over real loopback TCP: the coordinator
-// listens on 127.0.0.1, workers dial it, and every frame crosses an
-// actual socket under the same CRC-checked framing the journals use.
-// Network chaos is not injected — the wire is real — but injected worker
-// kills still fire, leaving torn wire frames the framing must reject.
-func RunShardedTCP(cfg Config, opts ShardOptions) (*NetShardStats, error) {
-	cc := cfg.toCore()
-	if cfg.JournalPath != "" || cfg.KillAfter > 0 {
-		return nil, errors.New("pinscope: sharded runs journal per shard; JournalPath and KillAfter do not apply")
-	}
-	stats, err := core.RunShardedTCP(cc, core.ShardedConfig{
-		Shards:  opts.Shards,
-		Workers: opts.Workers,
-		Dir:     opts.Dir,
-		Faults:  opts.plan(opts.KillTorn),
-	})
-	if stats == nil {
-		return nil, err
-	}
-	return netShardStats(stats), err
+	return shardStats(stats), err
 }
 
 // ServeShards runs the coordinator half of a cross-machine sharded study:
@@ -671,7 +584,7 @@ func RunShardedTCP(cfg Config, opts ShardOptions) (*NetShardStats, error) {
 // than failing when none are connected, so workers may be started after,
 // or restarted during, the run; an interrupted serve resumes from the
 // journals like any sharded run.
-func ServeShards(cfg Config, opts ShardOptions, addr string) (*NetShardStats, error) {
+func ServeShards(cfg Config, opts ShardOptions, addr string) (*ShardStats, error) {
 	cc := cfg.toCore()
 	if cfg.JournalPath != "" || cfg.KillAfter > 0 {
 		return nil, errors.New("pinscope: sharded runs journal per shard; JournalPath and KillAfter do not apply")
@@ -681,10 +594,7 @@ func ServeShards(cfg Config, opts ShardOptions, addr string) (*NetShardStats, er
 		Workers: opts.Workers,
 		Dir:     opts.Dir,
 	}, addr)
-	if stats == nil {
-		return nil, err
-	}
-	return netShardStats(stats), err
+	return shardStats(stats), err
 }
 
 // ConnectShardWorker runs the worker half of a cross-machine sharded

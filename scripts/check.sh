@@ -2,8 +2,8 @@
 # check.sh — the repo's one-command health gate: gofmt, build, vet, the
 # pinlint invariant suite diffed against its checked-in baseline, full
 # test suite (shuffled), a race-detector pass over the whole tree (minus
-# the slowest fault-injection e2e sweeps), a race-checked network-chaos
-# smoke over both shard transports, a one-iteration benchmark smoke, a
+# the slowest fault-injection e2e sweeps), a race-checked smoke of the
+# shard coordinator over both transports, a one-iteration benchmark smoke, a
 # perfbench run gated on its export digests, and a short fuzz smoke over
 # journal recovery.
 set -eu
@@ -63,17 +63,19 @@ go test -race -timeout 20m \
     -skip 'TestFaultedStudyIsDeterministicAcrossSchedules|TestStudySurvivesHeavyFaults|TestKillAtEveryFrameBoundaryThenResume|TestDegradationAndQuarantinePaths' \
     ./...
 
-# Network-chaos smoke, race-checked: the transported sharded run must
-# merge byte-identical to the single-process study over BOTH transports —
-# the simulated network under seeded delay/drop/dup/partition faults plus
-# a mid-stream worker death, and real loopback TCP with a worker kill.
-# The shuffled pass above already ran these once without -race; this pass
-# races the coordinator event loop, the outbox pumps, and the lease
-# takeover paths specifically, because those goroutines are exactly where
-# a transport regression would hide.
-echo "==> network-chaos smoke (-race, sim + loopback TCP)"
+# Shard-coordinator smoke, race-checked: the sharded run must merge
+# byte-identical to the single-process study over BOTH transports — the
+# simulated network with worker kills and an induced lease expiry, and
+# under seeded delay/drop/dup/partition faults plus a mid-stream worker
+# death, and real loopback TCP with a worker kill — and a killed fleet's
+# rerun must resume from its journals, torn tail included. The shuffled
+# pass above already ran these once without -race; this pass races the
+# coordinator event loop, the outbox pumps, and the lease takeover paths
+# specifically, because those goroutines are exactly where a regression
+# would hide.
+echo "==> shard-coordinator smoke (-race, sim + loopback TCP)"
 go test -race -count=1 \
-    -run 'TestShardNetSimMergesByteIdentical|TestShardNetTCPMergesByteIdentical|TestShardNetRerunResumesAfterFleetDeath|TestShardNetDerivedPlanMergesByteIdentical' \
+    -run 'TestShardedRunMergesByteIdentical|TestShardNetSimMergesByteIdentical|TestShardNetTCPMergesByteIdentical|TestShardedRerunResumesInterruptedRun|TestShardNetRerunResumesAfterFleetDeath|TestShardNetDerivedPlanMergesByteIdentical' \
     ./internal/core
 
 # Longitudinal smoke: the mini universe replayed across three root-program
