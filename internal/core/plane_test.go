@@ -144,3 +144,20 @@ func TestWarmRerunMakesNoSignatureChecks(t *testing.T) {
 		t.Fatal("same-seed rerun exported different bytes")
 	}
 }
+
+func TestColdStudyMakesNoSignatureChecks(t *testing.T) {
+	// Every certificate a study validates was minted in this process, and
+	// issuance seeds the signature memo with the verdict
+	// x509.CreateCertificate already established, so even a study on a
+	// seed no earlier test has built runs not one ECDSA verification of
+	// its own. The warm and cold crypto paths both hold to it.
+	for i, coldCrypto := range []bool{false, true} {
+		cfg := microCfg(9_104_729 + int64(i))
+		cfg.ColdCrypto = coldCrypto
+		before := pki.SignatureChecks()
+		runExport(t, cfg)
+		if n := pki.SignatureChecks() - before; n != 0 {
+			t.Fatalf("coldCrypto=%v: cold study ran %d signature checks, want 0", coldCrypto, n)
+		}
+	}
+}

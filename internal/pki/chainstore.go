@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/binary"
+	"math/big"
 	"sync"
 )
 
@@ -99,7 +100,7 @@ func RawDigest(cert *x509.Certificate) [sha256.Size]byte {
 
 // certIntern caches parsed certificates keyed by the full TBS content of
 // their issuance. A process that runs the same study twice re-derives
-// identical keys and serials from the seed, so every x509.CreateCertificate
+// identical keys and serial draws from the seed, so every x509.CreateCertificate
 // call after the first would sign, self-verify, encode and re-parse a
 // certificate that differs only in its (unobservable) hedged signature
 // bytes. The intern hit skips all of that and hands back the certificate
@@ -113,13 +114,14 @@ const (
 	issueRoot         = 'R'
 	issueIntermediate = 'I'
 	issueLeaf         = 'L'
+	issueSelfSigned   = 'S'
 )
 
 // internKey builds the content key for one issuance: the kind, the
 // issuer's key and name (nil issuer: self-signed, so the subject and
 // subject key below name the issuer too), and every template field the
-// pki issuers vary — serial, validity, subject, SANs — plus the subject
-// key. Variable-length fields are length-prefixed.
+// pki issuers vary — serial draw, validity, subject, SANs — plus the
+// subject key. Variable-length fields are length-prefixed.
 func internKey(kind byte, issuer, tmpl *x509.Certificate, pub *ecdsa.PublicKey) string {
 	b := make([]byte, 0, 256)
 	b = append(b, kind)
@@ -136,6 +138,18 @@ func internKey(kind byte, issuer, tmpl *x509.Certificate, pub *ecdsa.PublicKey) 
 	b = appendField(b, pub.X.Bytes())
 	b = appendField(b, pub.Y.Bytes())
 	return string(b)
+}
+
+// contentSerial derives the serial of a CA-issued certificate from its
+// issuance key: 40 bits of the key's SHA-256 above the 20-bit rng draw the
+// key already covers. The serial is a pure function of what is issued, so
+// it does not depend on what else the Authority issued before, or on which
+// goroutine got there first, and the key stays exact for the final
+// template.
+func contentSerial(key string, draw *big.Int) *big.Int {
+	sum := sha256.Sum256([]byte(key))
+	hi := int64(binary.BigEndian.Uint64(sum[:8]) >> 24)
+	return big.NewInt(hi<<20 | draw.Int64())
 }
 
 func appendField(b, field []byte) []byte {

@@ -27,7 +27,6 @@ import (
 	"math/big"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pinscope/internal/detrand"
@@ -45,12 +44,13 @@ type Entity struct {
 	Key  *ecdsa.PrivateKey
 }
 
-// Authority is an issuing certificate authority. The serial counter is
-// drawn atomically: the crypto plane shares one Authority across all study
-// workers, so concurrent issuance is the norm, not the exception.
+// Authority is an issuing certificate authority. It holds no mutable
+// state: the crypto plane shares one Authority across all study workers,
+// and the world generator issues from the public intermediates on every
+// core, so an issued certificate must depend on nothing but its own
+// issuance (see contentSerial).
 type Authority struct {
 	Entity
-	serial atomic.Int64
 }
 
 // deterministicKey derives an ECDSA P-256 private key from rng without
@@ -97,7 +97,7 @@ func NewRootCA(rng *detrand.Source, commonName, org string, validYears int) (*Au
 		if err != nil {
 			return nil, fmt.Errorf("pki: create root %q: %w", commonName, err)
 		}
-		return x509.ParseCertificate(der)
+		return parseIssued(der, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -109,7 +109,7 @@ func NewRootCA(rng *detrand.Source, commonName, org string, validYears int) (*Au
 func (a *Authority) NewIntermediate(rng *detrand.Source, commonName string, validYears int) (*Authority, error) {
 	key := deterministicKey(rng)
 	tmpl := &x509.Certificate{
-		SerialNumber: big.NewInt(a.serial.Add(1)<<20 | int64(rng.Intn(1<<20))),
+		SerialNumber: big.NewInt(int64(rng.Intn(1 << 20))),
 		Subject: pkix.Name{
 			CommonName:   commonName,
 			Organization: a.Cert.Subject.Organization,
@@ -121,13 +121,15 @@ func (a *Authority) NewIntermediate(rng *detrand.Source, commonName string, vali
 		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageCRLSign,
 		BasicConstraintsValid: true,
 	}
-	cert, err := internCertificate(internKey(issueIntermediate, a.Cert, tmpl, &key.PublicKey), func() (*x509.Certificate, error) {
+	k := internKey(issueIntermediate, a.Cert, tmpl, &key.PublicKey)
+	tmpl.SerialNumber = contentSerial(k, tmpl.SerialNumber)
+	cert, err := internCertificate(k, func() (*x509.Certificate, error) {
 		//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
 		der, err := x509.CreateCertificate(rand.Reader, tmpl, a.Cert, &key.PublicKey, a.Key)
 		if err != nil {
 			return nil, fmt.Errorf("pki: create intermediate %q: %w", commonName, err)
 		}
-		return x509.ParseCertificate(der)
+		return parseIssued(der, a.Cert)
 	})
 	if err != nil {
 		return nil, err
@@ -170,7 +172,7 @@ func (a *Authority) issueLeafWithKey(rng *detrand.Source, hostname string, key *
 		opts.NotAfter = StudyEpoch.AddDate(0, 9, 0)
 	}
 	tmpl := &x509.Certificate{
-		SerialNumber: big.NewInt(a.serial.Add(1)<<20 | int64(rng.Intn(1<<20))),
+		SerialNumber: big.NewInt(int64(rng.Intn(1 << 20))),
 		Subject:      pkix.Name{CommonName: hostname},
 		NotBefore:    opts.NotBefore,
 		NotAfter:     opts.NotAfter,
@@ -181,15 +183,17 @@ func (a *Authority) issueLeafWithKey(rng *detrand.Source, hostname string, key *
 	// The create step (sign, self-verify, encode, parse) is interned by TBS
 	// content: re-deriving the same world from the same seed reuses the
 	// already-issued certificate instead of minting a fresh signature over
-	// identical bytes. Key and serial were already drawn above, so a hit
-	// consumes exactly the same rng stream as a miss.
-	cert, err := internCertificate(internKey(issueLeaf, a.Cert, tmpl, &key.PublicKey), func() (*x509.Certificate, error) {
+	// identical bytes. Key and serial draw were already taken above, so a
+	// hit consumes exactly the same rng stream as a miss.
+	k := internKey(issueLeaf, a.Cert, tmpl, &key.PublicKey)
+	tmpl.SerialNumber = contentSerial(k, tmpl.SerialNumber)
+	cert, err := internCertificate(k, func() (*x509.Certificate, error) {
 		//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
 		der, err := x509.CreateCertificate(rand.Reader, tmpl, a.Cert, &key.PublicKey, a.Key)
 		if err != nil {
 			return nil, fmt.Errorf("pki: issue leaf %q: %w", hostname, err)
 		}
-		return x509.ParseCertificate(der)
+		return parseIssued(der, a.Cert)
 	})
 	if err != nil {
 		return nil, err
@@ -199,7 +203,8 @@ func (a *Authority) issueLeafWithKey(rng *detrand.Source, hostname string, key *
 
 // NewSelfSigned creates a self-signed server certificate (no chain). The
 // paper found two pinned destinations serving these, with 27- and 10-year
-// validities (§5.3.1).
+// validities (§5.3.1). Interned by issuance content like every other
+// issuer, so a rebuilt world serves the same certificate.
 func NewSelfSigned(rng *detrand.Source, hostname string, validYears int) (*Entity, error) {
 	key := deterministicKey(rng)
 	tmpl := &x509.Certificate{
@@ -212,12 +217,14 @@ func NewSelfSigned(rng *detrand.Source, hostname string, validYears int) (*Entit
 		DNSNames:     []string{hostname},
 		IsCA:         false,
 	}
-	//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
-	if err != nil {
-		return nil, fmt.Errorf("pki: self-signed %q: %w", hostname, err)
-	}
-	cert, err := x509.ParseCertificate(der)
+	cert, err := internCertificate(internKey(issueSelfSigned, nil, tmpl, &key.PublicKey), func() (*x509.Certificate, error) {
+		//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
+		der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
+		if err != nil {
+			return nil, fmt.Errorf("pki: self-signed %q: %w", hostname, err)
+		}
+		return parseIssued(der, nil)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,13 @@ package pki
 // validity windows, hostname matching, CA constraints, key usage — is
 // re-evaluated on every call; only the signature math is memoized.
 //
+// The memo is seeded at issuance (parseIssued): x509.CreateCertificate
+// already verifies every signature it produces, so a certificate minted in
+// this process gets exactly one ECDSA verification, and validating it
+// later is a memo hit even in a fresh process. Only certificates minted
+// elsewhere (or by a signer whose key the chain does not name) reach
+// CheckSignature here.
+//
 // The walker reproduces the exact x509.Verify semantics this simulation's
 // PKI exercises (see TestVerifyChainMatchesX509, which holds the walker to
 // x509.Verify's verdict across every chain shape the world generator and
@@ -50,12 +57,37 @@ var nilError = struct{}{}
 // validation has run in this process: the signature memo's misses.
 func SignatureChecks() int64 { return sigChecks.Load() }
 
-// checkSigCached verifies that parent's key signed child, memoized.
-func checkSigCached(parent, child *x509.Certificate) error {
+// sigKey is child's sigMemo key under parent's signing key.
+func sigKey(parent, child *x509.Certificate) [2 * sha256.Size]byte {
 	var key [2 * sha256.Size]byte
 	copy(key[:], digestsOf(parent).spki256[:])
 	c := RawDigest(child)
 	copy(key[sha256.Size:], c[:])
+	return key
+}
+
+// parseIssued parses a certificate this process has just minted and seeds
+// sigMemo with its signature verdict under parent (nil: self-signed, so
+// the certificate's own key signed it). No check is skipped:
+// x509.CreateCertificate refuses a private key that does not match
+// parent.PublicKey and verifies the signature it produced with that key
+// before returning the DER. That verification becomes the only one the
+// certificate's signature gets in this process.
+func parseIssued(der []byte, parent *x509.Certificate) (*x509.Certificate, error) {
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		return nil, err
+	}
+	if parent == nil {
+		parent = cert
+	}
+	sigMemo.Store(sigKey(parent, cert), nilError)
+	return cert, nil
+}
+
+// checkSigCached verifies that parent's key signed child, memoized.
+func checkSigCached(parent, child *x509.Certificate) error {
+	key := sigKey(parent, child)
 	if v, ok := sigMemo.Load(key); ok {
 		if v == nilError {
 			return nil

@@ -276,8 +276,10 @@ func TestValidateCacheTellsIntermediatesApart(t *testing.T) {
 
 func TestCAIssuanceInterned(t *testing.T) {
 	// Re-deriving a CA from the same rng stream returns the certificate
-	// already issued, Raw bytes included, for roots and intermediates.
-	derive := func() (*Authority, *Authority) {
+	// already issued, Raw bytes included, for roots and intermediates; so
+	// does re-deriving a self-signed server certificate, whose chain would
+	// otherwise miss RootStore.Validate's verdict cache on every rebuild.
+	derive := func() (*Authority, *Authority, *Entity) {
 		rng := detrand.New(107)
 		root, err := NewRootCA(rng.Child("root"), "Intern Root", "Org", 10)
 		if err != nil {
@@ -287,15 +289,22 @@ func TestCAIssuanceInterned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return root, inter
+		self, err := NewSelfSigned(rng.Child("self"), "intern.example.com", 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return root, inter, self
 	}
-	r1, i1 := derive()
-	r2, i2 := derive()
+	r1, i1, s1 := derive()
+	r2, i2, s2 := derive()
 	if !bytes.Equal(r1.Cert.Raw, r2.Cert.Raw) {
 		t.Fatal("re-derived root was minted afresh")
 	}
 	if !bytes.Equal(i1.Cert.Raw, i2.Cert.Raw) {
 		t.Fatal("re-derived intermediate was minted afresh")
+	}
+	if !bytes.Equal(s1.Cert.Raw, s2.Cert.Raw) {
+		t.Fatal("re-derived self-signed certificate was minted afresh")
 	}
 	other, err := NewRootCA(detrand.New(107).Child("root"), "Intern Root 2", "Org", 10)
 	if err != nil {
@@ -303,5 +312,100 @@ func TestCAIssuanceInterned(t *testing.T) {
 	}
 	if bytes.Equal(other.Cert.Raw, r1.Cert.Raw) {
 		t.Fatal("a root with a different name hit the intern")
+	}
+}
+
+func TestIssuanceSeedsSignatureMemo(t *testing.T) {
+	// Every issuer path seeds the signature memo with the verdict
+	// x509.CreateCertificate established while minting. The seeded verdict
+	// must be the one parent.CheckSignature reaches on its own, and chain
+	// validation must then run no signature check of its own.
+	rng := detrand.New(109)
+	root, err := NewRootCA(rng.Child("root"), "Seed Root", "Org", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, err := root.NewIntermediate(rng.Child("inter"), "Seed Inter", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := inter.IssueLeaf(rng.Child("leaf"), "seed.example.com", LeafOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reissued, err := inter.ReissueLeaf(rng.Child("reissue"), leaf, LeafOptions{NotAfter: StudyEpoch.AddDate(1, 0, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxyCA, err := NewRootCA(rng.Child("proxy"), "mitmproxy", "mitmproxy", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := proxyCA.IssueLeaf(rng.Child("forge"), "seed.example.com", LeafOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	self, err := NewSelfSigned(rng.Child("self"), "self.seed.example.com", 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eco, err := BuildEcosystem(rng.Child("eco"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	public, _, err := eco.IssuePublicChain(rng.Child("public"), "public.seed.example.com", LeafOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom, customInter, err := eco.NewCustomPKI(rng.Child("custom"), "Seed Org")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	links := []struct {
+		name          string
+		parent, child *x509.Certificate
+	}{
+		{"root", root.Cert, root.Cert},
+		{"intermediate", root.Cert, inter.Cert},
+		{"leaf", inter.Cert, leaf.Cert},
+		{"reissued leaf", inter.Cert, reissued.Cert},
+		{"proxy root", proxyCA.Cert, proxyCA.Cert},
+		{"forged leaf", proxyCA.Cert, forged.Cert},
+		{"self-signed", self.Cert, self.Cert},
+		{"public leaf", public[1], public[0]},
+		{"public intermediate", public[2], public[1]},
+		{"custom intermediate", custom.Cert, customInter.Cert},
+	}
+	for _, l := range links {
+		v, ok := sigMemo.Load(sigKey(l.parent, l.child))
+		if !ok {
+			t.Fatalf("%s: issuance left no signature verdict", l.name)
+		}
+		want := l.parent.CheckSignature(l.child.SignatureAlgorithm, l.child.RawTBSCertificate, l.child.Signature)
+		if (v == nilError) != (want == nil) {
+			t.Fatalf("%s: seeded verdict %v, CheckSignature says %v", l.name, v, want)
+		}
+	}
+	// Only the real issuer's verdict is seeded: the same child under
+	// another key is a miss that the real check rejects.
+	if _, ok := sigMemo.Load(sigKey(proxyCA.Cert, leaf.Cert)); ok {
+		t.Fatal("a verdict was seeded for a key that did not sign the certificate")
+	}
+
+	store := NewRootStore("seed")
+	store.Add(root.Cert)
+	store.Add(proxyCA.Cert)
+	before := SignatureChecks()
+	for _, c := range []Chain{{leaf.Cert, inter.Cert}, {reissued.Cert, inter.Cert}, {forged.Cert, proxyCA.Cert}} {
+		if err := c.Validate(store, "seed.example.com", StudyEpoch); err != nil {
+			t.Fatalf("chain for %s rejected: %v", c.Leaf().Subject.CommonName, err)
+		}
+	}
+	if err := public.Validate(eco.Mozilla, "public.seed.example.com", StudyEpoch); err != nil {
+		t.Fatalf("public chain rejected: %v", err)
+	}
+	if n := SignatureChecks() - before; n != 0 {
+		t.Fatalf("validating freshly issued chains ran %d signature checks, want 0", n)
 	}
 }

@@ -12,6 +12,7 @@
 package staticanalysis
 
 import (
+	"crypto/sha256"
 	"crypto/x509"
 	"fmt"
 	"path"
@@ -112,9 +113,18 @@ func Analyze(app *appmodel.App) (*Report, error) {
 
 // scanFiles performs the byte-level search of §4.1.2 over every file.
 func scanFiles(pkg *apppkg.Package, r *Report) {
-	seenCert := make(map[string]bool) // path+serial dedupe
+	// A file lists each distinct certificate once: the key is the path and
+	// the DER's digest, which is exact whoever issued the certificate. The
+	// digest is taken here rather than through pki.RawDigest, whose memo is
+	// keyed by pointer and would keep every certificate decoded from every
+	// package alive for the life of the process.
+	type certKey struct {
+		path string
+		raw  [sha256.Size]byte
+	}
+	seenCert := make(map[certKey]bool)
 	addCert := func(p string, c *x509.Certificate) {
-		key := p + "|" + c.SerialNumber.String() + c.Subject.CommonName
+		key := certKey{p, sha256.Sum256(c.Raw)}
 		if seenCert[key] {
 			return
 		}

@@ -41,14 +41,18 @@ type blueprint struct {
 	caPinOnly bool
 }
 
-// materializeDataset builds every not-yet-built app of a dataset.
-func (w *World) materializeDataset(ds *appstore.Dataset, tier Tier) error {
+// planDataset plans every not-yet-planned app of a dataset, one unit per
+// listing, and marks it planned. Each app's plan stream carries on into
+// its build.
+func (w *World) planDataset(ds *appstore.Dataset, tier Tier, planned map[string]bool) []*unit {
 	avg := w.avgCatMult(ds)
+	var units []*unit
 	for _, l := range ds.Listings {
 		key := string(l.Platform) + "/" + l.ID
-		if _, done := w.apps[key]; done {
+		if planned[key] {
 			continue // dataset collision: reuse the first materialization
 		}
+		planned[key] = true
 		rng := w.rng.Child("plan/" + key)
 		base := dynPinRate[l.Platform][tier]
 		p := base * catMultOf(l.Category) / avg
@@ -57,13 +61,9 @@ func (w *World) materializeDataset(ds *appstore.Dataset, tier Tier) error {
 		}
 		bp := &blueprint{listing: l, tier: tier, pins: rng.Bool(p), allowCustomPKI: true}
 		w.planSingle(bp, rng)
-		app, err := w.buildApp(bp, rng)
-		if err != nil {
-			return err
-		}
-		w.apps[key] = app
+		units = append(units, &unit{builds: []appBuild{{key: key, bp: bp, rng: rng}}})
 	}
-	return nil
+	return units
 }
 
 // avgCatMult is the dataset-mean category multiplier, used to normalize so
@@ -157,7 +157,10 @@ type fpPinMaterial struct {
 }
 
 // buildApp materializes the app: hosts, behaviour plan and package bytes.
-func (w *World) buildApp(bp *blueprint, rng *detrand.Source) (*appmodel.App, error) {
+// The hosts it creates land on the stage; everything else it reads of the
+// world was committed before the build phase began.
+func (s *stage) buildApp(bp *blueprint, rng *detrand.Source) (*appmodel.App, error) {
+	w := s.w
 	l := bp.listing
 	app := &appmodel.App{
 		ID:        l.ID,
@@ -176,7 +179,7 @@ func (w *World) buildApp(bp *blueprint, rng *detrand.Source) (*appmodel.App, err
 	var fpMaterials []fpPinMaterial
 	for _, d := range bp.fpContact {
 		pinned := bp.fpPinned[d]
-		h, ok := w.Hosts[d]
+		h, ok := s.hosts[d]
 		if !ok {
 			var err error
 			switch {
@@ -185,11 +188,11 @@ func (w *World) buildApp(bp *blueprint, rng *detrand.Source) (*appmodel.App, err
 				if rng.Bool(0.5) {
 					years = 27
 				}
-				h, err = w.addSelfSignedHost(d, l.Developer, years)
+				h, err = s.addSelfSignedHost(d, l.Developer, years)
 			case pinned && bp.allowCustomPKI && rng.Child("cp/"+d).Bool(customPKIRateFor(l.Platform)):
-				h, err = w.addCustomHost(d, l.Developer)
+				h, err = s.addCustomHost(d, l.Developer)
 			default:
-				h, err = w.addPublicHost(d, KindFirstParty, l.Developer,
+				h, err = s.addPublicHost(d, KindFirstParty, l.Developer,
 					rng.Child("wp/"+d).Bool(whoisPrivateRate))
 			}
 			if err != nil {
@@ -199,7 +202,7 @@ func (w *World) buildApp(bp *blueprint, rng *detrand.Source) (*appmodel.App, err
 		if !pinned {
 			continue
 		}
-		mat, err := w.fpPinConfig(h, rng.Child("pin/"+d), bp.caPinOnly)
+		mat, err := s.fpPinConfig(h, rng.Child("pin/"+d), bp.caPinOnly)
 		if err != nil {
 			return nil, err
 		}
@@ -274,7 +277,7 @@ func (w *World) buildApp(bp *blueprint, rng *detrand.Source) (*appmodel.App, err
 	addConn := func(r *detrand.Source, host string, kind HostKind, pins *pki.PinSet,
 		anchors *pki.RootStore, lib appmodel.TLSLib, kinds []pii.Kind, path string) {
 		if bp.pinEverything && pins == nil {
-			pins = w.chainCAPin(host)
+			pins = s.chainCAPin(host)
 			// Pin-everything apps run every connection through the one
 			// stack that implements their global pinning policy.
 			lib = fpPinLib
@@ -413,7 +416,7 @@ func (w *World) buildApp(bp *blueprint, rng *detrand.Source) (*appmodel.App, err
 			Lib: fpLib, Path: "/v1/heartbeat",
 		}
 		if bp.pinEverything {
-			pc.Pins = w.chainCAPin(h.Host)
+			pc.Pins = s.chainCAPin(h.Host)
 			pinnedHostSet[h.Host] = true
 		}
 		app.Conns = append(app.Conns, pc)
@@ -450,7 +453,7 @@ func (w *World) buildApp(bp *blueprint, rng *detrand.Source) (*appmodel.App, err
 		}
 		for i := 0; len(app.AssociatedDomains) < n && slugDomain != "" && i < len(extras); i++ {
 			d := extras[i] + "." + slugDomain
-			if _, err := w.addPublicHost(d, KindFirstParty, l.Developer, false); err != nil {
+			if _, err := s.addPublicHost(d, KindFirstParty, l.Developer, false); err != nil {
 				return nil, err
 			}
 			app.AssociatedDomains = append(app.AssociatedDomains, d)
@@ -481,8 +484,8 @@ func customPKIRateFor(p appmodel.Platform) float64 {
 
 // chainCAPin returns a pin set pinning the host chain's CA (or the leaf for
 // chains without one).
-func (w *World) chainCAPin(host string) *pki.PinSet {
-	h := w.Hosts[host]
+func (s *stage) chainCAPin(host string) *pki.PinSet {
+	h := s.host(host)
 	if h == nil {
 		return nil
 	}
@@ -495,7 +498,7 @@ func (w *World) chainCAPin(host string) *pki.PinSet {
 
 // fpPinConfig draws the pin representation for one pinned first-party host
 // (§5.3): CA vs leaf, SPKI vs raw cert, rotation, digest diversity.
-func (w *World) fpPinConfig(h *HostInfo, rng *detrand.Source, caOnly bool) (fpPinMaterial, error) {
+func (s *stage) fpPinConfig(h *HostInfo, rng *detrand.Source, caOnly bool) (fpPinMaterial, error) {
 	m := fpPinMaterial{host: h.Host, runtime: &pki.PinSet{}}
 
 	if h.CustomPKI || h.SelfSigned {
@@ -545,7 +548,7 @@ func (w *World) fpPinConfig(h *HostInfo, rng *detrand.Source, caOnly bool) (fpPi
 		m.embedPins = append(m.embedPins, pin)
 		// Key-reusing rotation keeps SPKI pins valid (§5.3.3).
 		if h.OriginalLeaf == nil && rng.Bool(leafRotationRate) {
-			if err := w.rotateLeaf(h); err != nil {
+			if err := s.rotateLeaf(h); err != nil {
 				return m, err
 			}
 		}
@@ -559,7 +562,7 @@ func (w *World) fpPinConfig(h *HostInfo, rng *detrand.Source, caOnly bool) (fpPi
 			// Ships the cert but effectively pins its public key.
 			m.runtime.Pins = append(m.runtime.Pins, pki.NewPin(target, pki.SHA256))
 			if h.OriginalLeaf == nil && rng.Bool(leafRotationRate) {
-				if err := w.rotateLeaf(h); err != nil {
+				if err := s.rotateLeaf(h); err != nil {
 					return m, err
 				}
 			}
@@ -598,9 +601,6 @@ func fpPIIKinds(r *detrand.Source) []pii.Kind {
 	}
 	return kinds
 }
-
-// ensure fmt retained when debugging aids are stripped
-var _ = fmt.Sprintf
 
 // buildPackage writes the app's file tree: manifests/plists, pin material,
 // SDK payload, native code — everything static analysis will scan.

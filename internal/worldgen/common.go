@@ -1,19 +1,18 @@
 package worldgen
 
 import (
-	"fmt"
-
 	"pinscope/internal/appmodel"
 	"pinscope/internal/detrand"
 )
 
-// materializeCommonPairs builds both platform versions of every common app.
-// Cross-platform pinning behaviour follows the §5.1 class distribution: the
-// same product may pin identically, partially, contradictorily, or on one
-// platform only — or not at all.
-func (w *World) materializeCommonPairs() error {
+// planCommonPairs plans both platform versions of every common app, one
+// unit per pair. Cross-platform pinning behaviour follows the §5.1 class
+// distribution: the same product may pin identically, partially,
+// contradictorily, or on one platform only — or not at all.
+func (w *World) planCommonPairs() []*unit {
 	da, di := w.DS.CommonAndroid, w.DS.CommonIOS
 	avg := w.avgCatMult(da)
+	units := make([]*unit, 0, len(da.Listings))
 	for idx := range da.Listings {
 		la, li := da.Listings[idx], di.Listings[idx]
 		rng := w.rng.Child("pair/" + la.CrossKey)
@@ -111,21 +110,15 @@ func (w *World) materializeCommonPairs() error {
 			pinI(imgI)
 		}
 
-		appA, err := w.buildApp(bpA, rng.Child("android"))
-		if err != nil {
-			return fmt.Errorf("worldgen: pair %s android: %w", la.CrossKey, err)
-		}
-		appI, err := w.buildApp(bpI, rng.Child("ios"))
-		if err != nil {
-			return fmt.Errorf("worldgen: pair %s ios: %w", la.CrossKey, err)
-		}
-		w.apps[string(appmodel.Android)+"/"+la.ID] = appA
-		w.apps[string(appmodel.IOS)+"/"+li.ID] = appI
-		w.CommonPairs = append(w.CommonPairs, &CommonPair{
-			Name: la.Name, Android: appA, IOS: appI, TruthClass: classNames[class],
+		units = append(units, &unit{
+			builds: []appBuild{
+				{key: string(appmodel.Android) + "/" + la.ID, bp: bpA, rng: rng.Child("android"), label: "pair " + la.CrossKey + " android"},
+				{key: string(appmodel.IOS) + "/" + li.ID, bp: bpI, rng: rng.Child("ios"), label: "pair " + la.CrossKey + " ios"},
+			},
+			pair: &CommonPair{Name: la.Name, TruthClass: classNames[class]},
 		})
 	}
-	return nil
+	return units
 }
 
 var classNames = map[pairClass]string{

@@ -148,7 +148,9 @@ type World struct {
 	sdkPins map[string]*pki.PinSet
 }
 
-// Build generates the world. It is deterministic in Params.
+// Build generates the world. It is deterministic in Params: the world is
+// planned serially, built on GOMAXPROCS workers and committed in a fixed
+// order (see build.go), so the worker count never shows in the result.
 func Build(p Params) (*World, error) {
 	rng := detrand.New(p.Seed)
 	eco, err := pki.BuildEcosystem(rng.Child("pki"))
@@ -192,19 +194,7 @@ func Build(p Params) (*World, error) {
 	if err := w.buildInfrastructure(); err != nil {
 		return nil, err
 	}
-	if err := w.materializeCommonPairs(); err != nil {
-		return nil, err
-	}
-	if err := w.materializeDataset(w.DS.PopularAndroid, TierPopular); err != nil {
-		return nil, err
-	}
-	if err := w.materializeDataset(w.DS.PopularIOS, TierPopular); err != nil {
-		return nil, err
-	}
-	if err := w.materializeDataset(w.DS.RandomAndroid, TierRandom); err != nil {
-		return nil, err
-	}
-	if err := w.materializeDataset(w.DS.RandomIOS, TierRandom); err != nil {
+	if err := w.buildApps(w.planApps()); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -230,26 +220,25 @@ func (w *World) Apps(d *appstore.Dataset) []*appmodel.App {
 
 // addPublicHost creates a destination with a public-PKI chain, registers
 // whois and submits the chain to the CT log.
-func (w *World) addPublicHost(host string, kind HostKind, org string, private bool) (*HostInfo, error) {
-	if h, ok := w.Hosts[host]; ok {
+func (s *stage) addPublicHost(host string, kind HostKind, org string, private bool) (*HostInfo, error) {
+	if h, ok := s.hosts[host]; ok {
 		return h, nil
 	}
-	rng := w.rng.Child("host/" + host)
-	chain, leaf, err := w.Eco.IssuePublicChain(rng, host, pki.LeafOptions{})
+	rng := s.w.rng.Child("host/" + host)
+	chain, leaf, err := s.w.Eco.IssuePublicChain(rng, host, pki.LeafOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("worldgen: host %s: %w", host, err)
 	}
 	h := &HostInfo{Host: host, Kind: kind, Org: org, Chain: chain, Leaf: leaf}
-	w.Hosts[host] = h
-	w.CT.SubmitChain(chain)
-	w.Whois.Register(whois.Record{Domain: host, Org: org, Private: private})
+	s.add(h, whois.Record{Domain: host, Org: org, Private: private})
+	s.ct = append(s.ct, chain...)
 	return h, nil
 }
 
 // addCustomHost creates a destination anchored in a private CA.
-func (w *World) addCustomHost(host, org string) (*HostInfo, error) {
-	rng := w.rng.Child("host/" + host)
-	root, inter, err := w.Eco.NewCustomPKI(rng, org)
+func (s *stage) addCustomHost(host, org string) (*HostInfo, error) {
+	rng := s.w.rng.Child("host/" + host)
+	root, inter, err := s.w.Eco.NewCustomPKI(rng, org)
 	if err != nil {
 		return nil, err
 	}
@@ -262,15 +251,14 @@ func (w *World) addCustomHost(host, org string) (*HostInfo, error) {
 		Chain: pki.Chain{leaf.Cert, inter.Cert, root.Cert}, Leaf: leaf,
 		CustomPKI: true, CustomRoot: root.Cert,
 	}
-	w.Hosts[host] = h
-	w.Whois.Register(whois.Record{Domain: host, Org: org})
+	s.add(h, whois.Record{Domain: host, Org: org})
 	return h, nil
 }
 
 // addSelfSignedHost creates a destination serving a bare self-signed
 // certificate with an implausibly long validity (§5.3.1 found 27y and 10y).
-func (w *World) addSelfSignedHost(host, org string, validYears int) (*HostInfo, error) {
-	rng := w.rng.Child("host/" + host)
+func (s *stage) addSelfSignedHost(host, org string, validYears int) (*HostInfo, error) {
+	rng := s.w.rng.Child("host/" + host)
 	leaf, err := pki.NewSelfSigned(rng, host, validYears)
 	if err != nil {
 		return nil, err
@@ -280,21 +268,21 @@ func (w *World) addSelfSignedHost(host, org string, validYears int) (*HostInfo, 
 		Chain: pki.Chain{leaf.Cert}, Leaf: leaf,
 		SelfSigned: true, CustomRoot: leaf.Cert,
 	}
-	w.Hosts[host] = h
-	w.Whois.Register(whois.Record{Domain: host, Org: org})
+	s.add(h, whois.Record{Domain: host, Org: org})
 	return h, nil
 }
 
 // rotateLeaf reissues the host's leaf with the same key pair, keeping the
-// original for §5.3.3 comparisons. Only valid for public-PKI hosts.
-func (w *World) rotateLeaf(h *HostInfo) error {
+// original for §5.3.3 comparisons. Only valid for public-PKI hosts the
+// stage created.
+func (s *stage) rotateLeaf(h *HostInfo) error {
 	// Reissue from the same intermediate that signed the current leaf.
-	rng := w.rng.Child("rotate/" + h.Host)
+	rng := s.w.rng.Child("rotate/" + h.Host)
 	if len(h.Chain) < 2 {
 		return fmt.Errorf("worldgen: cannot rotate chain of length %d", len(h.Chain))
 	}
 	var issuer *pki.Authority
-	for _, a := range w.Eco.Intermediates {
+	for _, a := range s.w.Eco.Intermediates {
 		if a.Cert.Equal(h.Chain[1]) {
 			issuer = a
 			break
@@ -313,13 +301,21 @@ func (w *World) rotateLeaf(h *HostInfo) error {
 	h.OriginalLeaf = h.Leaf.Cert
 	h.Leaf = newLeaf
 	h.Chain = pki.Chain{newLeaf.Cert, h.Chain[1], h.Chain[2]}
-	w.CT.Submit(newLeaf.Cert)
+	s.ct = append(s.ct, newLeaf.Cert)
 	return nil
 }
 
 // buildInfrastructure creates the shared destination universe: SDK hosts,
-// the generic third-party pool, and Apple's service domains.
+// the generic third-party pool, and Apple's service domains. Each host is
+// issued on its own stage, in parallel, and committed in creation order.
 func (w *World) buildInfrastructure() error {
+	type infraHost struct {
+		host string
+		kind HostKind
+		org  string
+		pool bool
+	}
+	var specs []infraHost
 	// SDK destinations (sorted for deterministic creation order).
 	orgDomains := sdkregistry.OrgDomains()
 	domains := make([]string, 0, len(orgDomains))
@@ -328,10 +324,57 @@ func (w *World) buildInfrastructure() error {
 	}
 	sort.Strings(domains)
 	for _, d := range domains {
-		if _, err := w.addPublicHost(d, KindSDK, orgDomains[d], false); err != nil {
-			return err
+		specs = append(specs, infraHost{d, KindSDK, orgDomains[d], false})
+	}
+	// Generic third-party pool.
+	for _, p := range []struct {
+		prefix, domain string
+		kind           HostKind
+		org            string
+		n              int
+	}{
+		{"cdn", "webinfra-cache.net", KindCDN, "EdgeCache Networks", 50},
+		{"static", "contentcache.com", KindCDN, "ContentCache", 30},
+		{"ads", "adnet-exchange.com", KindAds, "AdNet Exchange", 45},
+		{"track", "telemetrics.io", KindMetrics, "Telemetrics", 35},
+		{"api", "cloudbackend.dev", KindAPI, "CloudBackend", 40},
+	} {
+		for i := 0; i < p.n; i++ {
+			host := fmt.Sprintf("%s%d.%s", p.prefix, i, p.domain)
+			specs = append(specs, infraHost{host, p.kind, fmt.Sprintf("%s %d", p.org, i%7), true})
 		}
 	}
+	// Apple service domains (iOS background traffic, §4.5).
+	for _, d := range []string{"icloud.com", "apple.com", "mzstatic.com"} {
+		specs = append(specs, infraHost{d, KindApple, "Apple Inc", false})
+	}
+
+	stages := make([]*stage, len(specs))
+	err := parallel(len(specs), func(i int) error {
+		sp := specs[i]
+		s := w.newStage()
+		h, err := s.addPublicHost(sp.host, sp.kind, sp.org, false)
+		if err != nil {
+			return err
+		}
+		if sp.pool && w.rng.Child("flk/"+sp.host).Bool(serverResetRate) {
+			h.ResetOnAccept = true
+		}
+		stages[i] = s
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for i, s := range stages {
+		if err := w.commit(s); err != nil {
+			return err
+		}
+		if specs[i].pool {
+			w.pool = append(w.pool, s.hosts[specs[i].host])
+		}
+	}
+
 	// Runtime pin sets for pinning SDKs: each SDK pins one way globally.
 	for _, plat := range appmodel.Platforms {
 		for _, sdk := range sdkregistry.PinningSDKs(plat) {
@@ -351,44 +394,6 @@ func (w *World) buildInfrastructure() error {
 				ps.Pins = append(ps.Pins, pki.NewPin(target, pki.SHA256))
 			}
 			w.sdkPins[key] = ps
-		}
-	}
-
-	// Generic third-party pool.
-	mkPool := func(prefix, domain string, kind HostKind, org string, n int) error {
-		for i := 0; i < n; i++ {
-			host := fmt.Sprintf("%s%d.%s", prefix, i, domain)
-			h, err := w.addPublicHost(host, kind, fmt.Sprintf("%s %d", org, i%7), false)
-			if err != nil {
-				return err
-			}
-			if w.rng.Child("flk/" + host).Bool(serverResetRate) {
-				h.ResetOnAccept = true
-			}
-			w.pool = append(w.pool, h)
-		}
-		return nil
-	}
-	if err := mkPool("cdn", "webinfra-cache.net", KindCDN, "EdgeCache Networks", 50); err != nil {
-		return err
-	}
-	if err := mkPool("static", "contentcache.com", KindCDN, "ContentCache", 30); err != nil {
-		return err
-	}
-	if err := mkPool("ads", "adnet-exchange.com", KindAds, "AdNet Exchange", 45); err != nil {
-		return err
-	}
-	if err := mkPool("track", "telemetrics.io", KindMetrics, "Telemetrics", 35); err != nil {
-		return err
-	}
-	if err := mkPool("api", "cloudbackend.dev", KindAPI, "CloudBackend", 40); err != nil {
-		return err
-	}
-
-	// Apple service domains (iOS background traffic, §4.5).
-	for _, d := range []string{"icloud.com", "apple.com", "mzstatic.com"} {
-		if _, err := w.addPublicHost(d, KindApple, "Apple Inc", false); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -1,6 +1,13 @@
 package worldgen
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"crypto/x509"
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"sort"
 	"testing"
 
 	"pinscope/internal/appmodel"
@@ -52,26 +59,163 @@ func TestBuildSizes(t *testing.T) {
 	}
 }
 
+// TestDeterminism builds the same world with one worker and with four and
+// requires equal fingerprints. The fingerprint covers everything the study
+// reads of a world (see fingerprint), so a build whose output depended on
+// worker scheduling — a host, CT submission or whois record committed out
+// of listing order, or a serial drawn from a shared counter — fails here.
 func TestDeterminism(t *testing.T) {
-	w1 := buildTestWorld(t, 2)
-	w2 := buildTestWorld(t, 2)
-	a1, a2 := allApps(w1), allApps(w2)
-	if len(a1) != len(a2) {
-		t.Fatalf("app counts differ: %d vs %d", len(a1), len(a2))
+	build := func(procs int) [sha256.Size]byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return fingerprint(buildTestWorld(t, 2))
 	}
-	for i := range a1 {
-		x, y := a1[i], a2[i]
-		if x.ID != y.ID || x.Truth.PinsAtRuntime != y.Truth.PinsAtRuntime ||
-			len(x.Conns) != len(y.Conns) {
-			t.Fatalf("app %d differs: %s/%v/%d vs %s/%v/%d",
-				i, x.ID, x.Truth.PinsAtRuntime, len(x.Conns),
-				y.ID, y.Truth.PinsAtRuntime, len(y.Conns))
+	if one, four := build(1), build(4); one != four {
+		t.Fatalf("world fingerprint with GOMAXPROCS=1 %x differs from GOMAXPROCS=4 %x", one, four)
+	}
+}
+
+// fingerprint digests a world: every host (name, kind, organization, flags,
+// served chain, pre-rotation leaf, private anchor), every app in dataset
+// order (identity, release, connections with their pins and trust anchors,
+// associated domains, ground truth, and decrypted package files), the CT
+// log's per-name and per-key order, and whois. Certificates enter by
+// RawTBSCertificate: their ECDSA signatures are hedged and differ between
+// mintings of the same certificate.
+func fingerprint(w *World) [sha256.Size]byte {
+	h := sha256.New()
+	put := func(fields ...any) {
+		for _, f := range fields {
+			b := []byte(fmt.Sprint(f))
+			binary.Write(h, binary.BigEndian, uint32(len(b)))
+			h.Write(b)
 		}
-		for j := range x.Conns {
-			if x.Conns[j].Host != y.Conns[j].Host || x.Conns[j].At != y.Conns[j].At {
-				t.Fatalf("conn %d of %s differs", j, x.ID)
+	}
+	putCert := func(c *x509.Certificate) {
+		if c == nil {
+			put("nil")
+			return
+		}
+		put(c.RawTBSCertificate)
+	}
+
+	names := make([]string, 0, len(w.Hosts))
+	for name := range w.Hosts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	cns := map[string]bool{}
+	var certs []*x509.Certificate
+	for _, name := range names {
+		hi := w.Hosts[name]
+		put(hi.Host, hi.Kind, hi.Org, hi.SelfSigned, hi.CustomPKI, hi.Flaky, hi.ResetOnAccept, len(hi.Chain))
+		for _, c := range hi.Chain {
+			putCert(c)
+			certs = append(certs, c)
+		}
+		putCert(hi.Leaf.Cert)
+		putCert(hi.OriginalLeaf)
+		putCert(hi.CustomRoot)
+		if hi.OriginalLeaf != nil {
+			certs = append(certs, hi.OriginalLeaf)
+		}
+	}
+
+	putPins := func(ps *pki.PinSet) {
+		if ps == nil {
+			put("nopins")
+			return
+		}
+		put(len(ps.Pins), len(ps.RawCerts))
+		for _, p := range ps.Pins {
+			put(p.String())
+		}
+		for _, c := range ps.RawCerts {
+			putCert(c)
+		}
+	}
+	for _, a := range allApps(w) {
+		put(a.Platform, a.ID, a.Name, a.Developer, a.Category, a.CrossKey, a.Release, len(a.Conns))
+		for _, c := range a.Conns {
+			put(c.Host, c.At, c.Used, c.FailureMode, c.MaxVersion, c.Ciphers, c.Lib, c.PIIKinds, c.Path, c.FirstParty)
+			putPins(c.Pins)
+			if c.TrustAnchors == nil {
+				put("noanchors")
+			} else {
+				put(c.TrustAnchors.Name, c.TrustAnchors.Len())
+				for _, r := range c.TrustAnchors.Certs() {
+					putCert(r)
+				}
 			}
 		}
+		put(a.AssociatedDomains, a.Truth.PinsAtRuntime, a.Truth.PinnedHosts,
+			a.Truth.EmbedsPinMaterial, a.Truth.UsesNSCPins, a.Truth.Obfuscated)
+		pkg := a.Pkg.Clone()
+		put(pkg.Encrypted)
+		pkg.DecryptIOS()
+		for _, f := range pkg.Files() {
+			put(f.Path, f.Executable, certsByTBS(f.Data))
+		}
+	}
+	for _, pair := range w.CommonPairs {
+		put(pair.Name, pair.Android.ID, pair.IOS.ID, pair.TruthClass)
+	}
+
+	put(w.CT.Size())
+	for _, c := range certs {
+		cns[c.Subject.CommonName] = true
+	}
+	cnList := make([]string, 0, len(cns))
+	for cn := range cns {
+		cnList = append(cnList, cn)
+	}
+	sort.Strings(cnList)
+	for _, cn := range cnList {
+		logged := w.CT.LookupByName(cn)
+		put(cn, len(logged))
+		for _, c := range logged {
+			putCert(c)
+			bySPKI := w.CT.Lookup(pki.NewPin(c, pki.SHA256))
+			put(len(bySPKI))
+			for _, k := range bySPKI {
+				putCert(k)
+			}
+		}
+	}
+
+	put(w.Whois.Len())
+	for _, name := range names {
+		org, ok := w.Whois.Lookup(name)
+		put(name, org, ok)
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// certsByTBS returns data with every certificate in it replaced by its
+// RawTBSCertificate: a whole-file DER certificate, or each PEM block.
+func certsByTBS(data []byte) []byte {
+	if c, err := x509.ParseCertificate(data); err == nil {
+		return c.RawTBSCertificate
+	}
+	const begin, end = "-----BEGIN CERTIFICATE-----", "-----END CERTIFICATE-----\n"
+	var out []byte
+	for {
+		i := bytes.Index(data, []byte(begin))
+		if i < 0 {
+			return append(out, data...)
+		}
+		j := bytes.Index(data[i:], []byte(end))
+		if j < 0 {
+			return append(out, data...)
+		}
+		j += i + len(end)
+		c, err := pki.DecodePEM(data[i:j])
+		if err != nil {
+			return append(out, data...)
+		}
+		out = append(append(out, data[:i]...), c.RawTBSCertificate...)
+		data = data[j:]
 	}
 }
 

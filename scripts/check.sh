@@ -3,9 +3,10 @@
 # pinlint invariant suite diffed against its checked-in baseline, full
 # test suite (shuffled), a race-detector pass over the whole tree (minus
 # the slowest fault-injection e2e sweeps), a race-checked smoke of the
-# shard coordinator over both transports, a one-iteration benchmark smoke, a
-# perfbench run gated on its export digests, and a short fuzz smoke over
-# journal recovery.
+# shard coordinator over both transports, a race-checked repeat of the
+# parallel world build's determinism test, a one-iteration benchmark
+# smoke, warm and cold perfbench runs gated on their export digests, and
+# a short fuzz smoke over journal recovery.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -78,6 +79,14 @@ go test -race -count=1 \
     -run 'TestShardedRunMergesByteIdentical|TestShardNetSimMergesByteIdentical|TestShardNetTCPMergesByteIdentical|TestShardedRerunResumesInterruptedRun|TestShardNetRerunResumesAfterFleetDeath|TestShardNetDerivedPlanMergesByteIdentical' \
     ./internal/core
 
+# Parallel world build, race-checked: worldgen builds its world on
+# GOMAXPROCS workers and commits in listing order. TestDeterminism builds
+# the same world with one worker and with four and compares full world
+# fingerprints; repeating it under the race detector with four procs is
+# where a stage sharing state with another would show.
+echo "==> parallel world build (-race -count=3, GOMAXPROCS=4)"
+GOMAXPROCS=4 go test -race -count=3 -run 'TestDeterminism$' ./internal/worldgen
+
 # Longitudinal smoke: the mini universe replayed across three root-program
 # timeline points (two Android releases plus a public-CA distrust event),
 # killed mid-timeline by fault injection while the second point's journal
@@ -109,6 +118,12 @@ echo "==> bench smoke"
 # PKI or the analyses export fails the gate here.
 echo "==> perfbench study-rerun smoke (export-SHA gate)"
 bash perfbench/run.sh --workload study-rerun --seconds 3
+
+# The same gate on the cold path: study-fresh runs each study in a new
+# process, so world building, certificate issuance and first signature
+# checks all do full work before the export is hashed.
+echo "==> perfbench study-fresh smoke (export-SHA gate)"
+bash perfbench/run.sh --workload study-fresh --seconds 3
 
 # A short native-fuzz smoke over journal recovery: whatever bytes end up
 # on disk, Recover must never panic and never return unverified data.
